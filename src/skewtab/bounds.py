@@ -78,11 +78,23 @@ def _validate_chains(shape: SkewShape, decomposition: ChainDecomposition) -> Non
 
 
 def upper_ideal_sizes(shape: SkewShape) -> dict[Cell, int]:
-    """For each cell, the number of cells weakly below and to the right."""
-    cells = shape.cells()
-    return {
-        c: sum(1 for d in cells if d.row >= c.row and d.col >= c.col) for c in cells
-    }
+    """For each cell, the number of cells weakly below and to the right.
+
+    A suffix sum over the bounding box, bottom row first: after row i,
+    below[j] counts the cells in rows >= i and columns >= j, i.e.
+    S(i, j) = S(i + 1, j) + #{cells of row i in columns >= j}, which takes
+    O(rows * width) work rather than comparing all pairs of cells.
+    """
+    below = [0] * (shape.outer.part(1) + 1)
+    rows = []
+    for lo, hi in reversed(shape.row_bounds()):
+        run = 0
+        for j in range(hi, 0, -1):
+            run += j > lo
+            below[j] += run
+        rows.append(below[:])
+    rows.reverse()
+    return {c: rows[c.row - 1][c.col] for c in shape.cells()}
 
 
 def hp_lower(shape: SkewShape, use_dual: bool = True) -> Fraction:

@@ -93,9 +93,10 @@ def hlf_count(lam: Partition) -> int:
     prod = 1
     for h in lam.hooks().values():
         prod *= h
-    num = factorial(lam.size)
-    assert num % prod == 0
-    return num // prod
+    count, rem = divmod(factorial(lam.size), prod)
+    if rem:
+        raise ArithmeticError("hook-length count is not an integer")
+    return count
 
 
 def naive_hlf(shape: SkewShape) -> Fraction:
@@ -139,45 +140,39 @@ def _bareiss_det(mat: list[list[int]]) -> int:
 
 
 def jacobi_trudi_count(shape: SkewShape) -> int:
-    """Number of standard tableaux of a skew shape via the factorial determinant.
+    """Number of standard tableaux of a skew shape via the Jacobi-Trudi determinant.
 
-    The matrix has entries 1/(outer_i - inner_j - i + j)! with 1/m! = 0 for
-    m < 0.  Denominators are cleared row by row (multiply row i by the
-    largest factorial occurring in it) so the determinant is evaluated over
-    exact integers.
+    With a_i = outer_i - i + l and b_j = inner_j - j + l, the factorial
+    determinant n! det[1/(a_i - b_j)!] equals
+
+        n! * prod b_j! / prod a_i! * det[C(a_i, b_j)],
+
+    so the matrix holds plain binomials (C(a, b) = 0 for b > a) and Bareiss
+    elimination works on small integers.  Since e(outer/inner) equals the
+    count of the conjugate shape, the determinant is taken on whichever side
+    has fewer rows: the matrix dimension is min(l(outer), outer_1).
     """
     lam, mu = shape.outer, shape.inner
+    if lam.part(1) < len(lam):
+        lam, mu = lam.conjugate(), mu.conjugate()
     ell = len(lam)
-    n = shape.size
     if ell == 0:
         return 1
-    row_clear = []
-    mat = []
-    for i in range(1, ell + 1):
-        top = lam.part(i) - mu.part(ell) - i + ell
-        row_clear.append(max(top, 0))
-        row = []
-        for j in range(1, ell + 1):
-            m = lam.part(i) - mu.part(j) - i + j
-            row.append(0 if m < 0 else _falling_ratio(row_clear[-1], m))
-        mat.append(row)
-    det = _bareiss_det(mat)
+    a = [lam.part(i) - i + ell for i in range(1, ell + 1)]
+    b = [mu.part(j) - j + ell for j in range(1, ell + 1)]
+    det = _bareiss_det([[comb(ai, bj) for bj in b] for ai in a])
+    num = factorial(shape.size) * det
+    for bj in b:
+        num *= factorial(bj)
     denom = 1
-    for r in row_clear:
-        denom *= factorial(r)
-    num = factorial(n) * det
-    assert num % denom == 0, "determinant count is not an integer"
-    count = num // denom
-    assert count >= 0, "determinant count is negative"
+    for ai in a:
+        denom *= factorial(ai)
+    count, rem = divmod(num, denom)
+    if rem:
+        raise ArithmeticError("determinant count is not an integer")
+    if count < 0:
+        raise ArithmeticError("determinant count is negative")
     return count
-
-
-def _falling_ratio(big: int, small: int) -> int:
-    """big!/small! for big >= small >= 0."""
-    out = 1
-    for v in range(small + 1, big + 1):
-        out *= v
-    return out
 
 
 # -- brute force: linear extensions of the cell poset ---------------------------
@@ -212,7 +207,8 @@ def brute_force_count(shape: SkewShape, cap: int = DEFAULT_BRUTE_CAP) -> int:
                 new = state[:r] + (c + 1,) + state[r + 1 :]
                 nxt[new] = nxt.get(new, 0) + ways
         counts = nxt
-    assert len(counts) == 1
+    if len(counts) != 1:
+        raise ArithmeticError(f"order-ideal DP ended in {len(counts)} states, not 1")
     return next(iter(counts.values()))
 
 
@@ -307,8 +303,10 @@ def schur_principal(mu, ell: int) -> int:
     for (i, j), h in hooks.items():
         num *= ell + j - i
         den *= h
-    assert num % den == 0
-    return num // den
+    count, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("principal specialization is not an integer")
+    return count
 
 
 def dual_hook_products(nu) -> tuple[int, int]:

@@ -143,15 +143,21 @@ _THICK_RIBBON_CK = {
     8: -0.254912,
     10: -0.244959,
     12: -0.237317,
+    14: -0.231332,
+    16: -0.226538,
+    18: -0.222621,
+    20: -0.219364,
+    22: -0.216614,
+    24: -0.214264,
 }
 
 
 def test_thick_ribbon_certification():
-    with _timer("thick-ribbon finite certification (k <= 12)", budget=120.0):
+    with _timer("thick-ribbon finite certification (k <= 24)", budget=120.0):
         band = band_constants("thick-ribbon")
         assert round(band.lower, 4) == -0.3237
         assert round(band.upper, 4) == -0.0621
-        for k in range(2, 13, 2):
+        for k in range(2, 25, 2):
             shape = thick_ribbon(k)
             n = shape.size
             assert n == k * (3 * k - 1) // 2

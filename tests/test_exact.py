@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from skewtab import exact
 from skewtab.errors import CapExceeded
 from skewtab.exact import (
     brute_force_count,
@@ -21,7 +22,19 @@ from skewtab.exact import (
     super_doublefactorial,
     superfactorial,
 )
-from skewtab.shapes import Partition, SkewShape, partitions_of, subpartitions, zigzag
+from skewtab.shapes import (
+    Partition,
+    SkewShape,
+    column_ribbon,
+    partitions_of,
+    subpartitions,
+    zigzag,
+)
+from skewtab.verify import skew_shapes
+
+
+def _conjugate(shape):
+    return SkewShape(shape.outer.conjugate(), shape.inner.conjugate())
 
 
 def test_factorial_families():
@@ -78,9 +91,43 @@ def test_brute_force():
         brute_force_count(SkewShape([5] * 5), cap=24)
 
 
-def test_oracle_agreement_small(small_connected_shapes):
-    for shape in small_connected_shapes:
-        assert jacobi_trudi_count(shape) == brute_force_count(shape)
+def test_oracle_agreement_small():
+    # every skew shape with |outer| <= 9: 664 of the 1,495 are disconnected
+    # and 634 are taller than wide, so take the conjugate-side determinant
+    checked = 0
+    for shape in skew_shapes(9, connected_only=False):
+        assert jacobi_trudi_count(shape) == brute_force_count(shape), shape
+        checked += 1
+    assert checked == 1495
+
+
+def test_jacobi_trudi_tall_shapes():
+    # taller than wide, so the determinant is taken on the conjugate side
+    for k, m in ((3, 4), (4, 5), (3, 8), (5, 6)):
+        shape = column_ribbon(k, m)
+        assert shape.outer.part(1) < len(shape.outer)
+        assert jacobi_trudi_count(shape) == brute_force_count(shape, cap=shape.size)
+    assert jacobi_trudi_count(column_ribbon(8, 2)) == euler_number(16)
+    rect = Partition([12] * 40)
+    assert jacobi_trudi_count(SkewShape(rect)) == hlf_count(rect)
+    for shape in (
+        SkewShape([12] * 40, [6] * 20),
+        SkewShape([12] * 40, [11, 9, 9, 5, 2, 2, 1]),
+        SkewShape([3] * 30 + [2] * 10, [2] * 25 + [1] * 3),
+        column_ribbon(6, 7),
+    ):
+        e = jacobi_trudi_count(shape)
+        assert e > 0
+        assert e == jacobi_trudi_count(_conjugate(shape))
+        assert e == jacobi_trudi_count(shape.rotate180())
+
+
+def test_soundness_checks_raise(monkeypatch):
+    # explicit errors, not asserts, so the checks also hold under python -O
+    real = exact._bareiss_det
+    monkeypatch.setattr(exact, "_bareiss_det", lambda mat: -real(mat))
+    with pytest.raises(ArithmeticError, match="negative"):
+        jacobi_trudi_count(SkewShape([4, 4, 3, 2], [2, 1]))
 
 
 def test_euler_numbers():

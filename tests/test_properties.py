@@ -1,0 +1,59 @@
+"""Property tests on random skew shapes, beyond the exhaustive small corpus."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skewtab.bounds import upper_ideal_sizes
+from skewtab.exact import brute_force_count, jacobi_trudi_count
+from skewtab.shapes import SkewShape
+
+
+@st.composite
+def random_skew_shapes(draw, max_cells: int, connected: bool):
+    """A random skew shape of at most max_cells cells, built bottom row up.
+
+    Row i spans the columns (lo_i, hi_i].  Going up, lo and hi weakly grow;
+    a connected shape keeps every row overlapping the one below it, otherwise
+    a row may also start past the end of the row below, or be empty.  Drawing
+    the row count first gives tall shapes as often as wide ones.
+    """
+    nrows = draw(st.integers(1, max_cells))
+    step = max(1, max_cells // nrows)
+    lo, hi = 0, draw(st.integers(1, step))
+    rows = [(lo, hi)]
+    cells = hi
+    for _ in range(nrows - 1):
+        lo = draw(st.integers(lo, hi - 1 if connected else hi + 2))
+        hi = draw(st.integers(max(hi, lo + 1 if connected else lo), max(hi, lo + step)))
+        if cells + hi - lo > max_cells:
+            break
+        rows.append((lo, hi))
+        cells += hi - lo
+    rows.reverse()
+    return SkewShape([h for _, h in rows], [l for l, _ in rows])
+
+
+def _conjugate(shape):
+    return SkewShape(shape.outer.conjugate(), shape.inner.conjugate())
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(20, connected=True))
+def test_jacobi_trudi_matches_order_ideal_dp(shape):
+    assert jacobi_trudi_count(shape) == brute_force_count(shape, cap=20)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+def test_jacobi_trudi_symmetries(shape):
+    e = jacobi_trudi_count(shape)
+    assert e == jacobi_trudi_count(_conjugate(shape))
+    assert e == jacobi_trudi_count(shape.rotate180())
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+def test_upper_ideal_sizes_definition(shape):
+    cells = shape.cells()
+    direct = {c: sum(d.row >= c.row and d.col >= c.col for d in cells) for c in cells}
+    assert upper_ideal_sizes(shape) == direct
