@@ -9,9 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
-from .exact import jacobi_trudi_count, naive_hlf
+from .exact import _exact_quotient, jacobi_trudi_count, naive_hlf
 from .excited import xi_determinant
 from .shapes import Cell, SkewShape
 
@@ -56,11 +56,8 @@ def chain_upper(shape: SkewShape, decomposition: ChainDecomposition | None = Non
     if decomposition is None:
         decomposition = antidiagonal_chains(shape)
     _validate_chains(shape, decomposition)
-    num = factorial(shape.size)
-    for size in decomposition.sizes:
-        num, rem = divmod(num, factorial(size))
-        assert rem == 0
-    return num
+    denom = prod(factorial(size) for size in decomposition.sizes)
+    return _exact_quotient(factorial(shape.size), denom, "chain multinomial")
 
 
 def _validate_chains(shape: SkewShape, decomposition: ChainDecomposition) -> None:
@@ -118,13 +115,7 @@ def hp_lower(shape: SkewShape, use_dual: bool = True) -> Fraction:
 
 def skew_lr_upper(shape: SkewShape) -> Fraction:
     """Hook-product ratio outer/inner; equals |outer|! f^inner / (|inner|! f^outer)."""
-    num = 1
-    for h in shape.outer.hooks().values():
-        num *= h
-    den = 1
-    for h in shape.inner.hooks().values():
-        den *= h
-    return Fraction(num, den)
+    return Fraction(shape.outer.hook_product(), shape.inner.hook_product())
 
 
 def main_sandwich(shape: SkewShape) -> tuple[Fraction, Fraction]:

@@ -146,9 +146,8 @@ def cmd_excited(args) -> int:
 
 def cmd_nhlf(args) -> int:
     shape = _resolve_shape(args.shape)
-    caps = {"mu_cap": args.max_inner, "xi_cap": args.max_excited}
-    e = excited.nhlf_count(shape, **caps)
-    lo, hi = excited.min_max_term(shape, **caps)
+    e = excited.nhlf_count(shape, mu_cap=args.max_inner, xi_cap=args.max_excited)
+    lo, hi = excited.min_max_term(shape)
     doc = {
         "shape": shape_text(shape),
         "e": _num(e),
@@ -190,16 +189,27 @@ def cmd_family(args) -> int:
 def cmd_integrate(args) -> int:
     raw = args.spec
     if not raw.lstrip().startswith("{"):
-        with open(raw, encoding="utf-8") as fh:
-            raw = fh.read()
+        try:
+            with open(raw, encoding="utf-8") as fh:
+                raw = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ShapeParseError(f"cannot read boundary spec: {exc}")
     try:
         spec = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ShapeParseError(f"bad boundary spec: {exc}")
-    if "outer" not in spec:
+    if not isinstance(spec, dict) or "outer" not in spec:
         raise ShapeParseError("boundary spec needs an 'outer' point list")
-    shape = asymptotics.StableShape(spec["outer"], spec.get("inner"))
-    grid = args.grid if args.grid is not None else int(spec.get("grid", args.grid_default))
+    try:
+        shape = asymptotics.StableShape(spec["outer"], spec.get("inner"))
+    except TypeError as exc:
+        raise ShapeParseError(f"boundary points must be [x, y] number pairs: {exc}")
+    grid = args.grid
+    if grid is None:
+        try:
+            grid = int(spec.get("grid", args.grid_default))
+        except (TypeError, ValueError, OverflowError):
+            raise ShapeParseError(f"spec 'grid' must be an integer, got {spec['grid']!r}")
     value = asymptotics.hook_integral(shape, grid=grid)
     _emit_json(
         {"grid": grid, "area": _flt(shape.area()), "integral": _flt(value)}
@@ -242,8 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help):
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=fn)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap (results are deterministic regardless)")
         return p
 
     max_exc = _env_int("SKEWTAB_MAX_EXCITED", excited.DEFAULT_XI_CAP)

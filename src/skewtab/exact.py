@@ -11,14 +11,22 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .errors import CapExceeded
 from .shapes import Cell, Partition, SkewShape
 
 DEFAULT_BRUTE_CAP = 24
-DEFAULT_LR_CAP = 12
 DEFAULT_EULER_CAP = 1000
+
+
+def _exact_quotient(num: int, den: int, what: str) -> int:
+    """num // den, raising ArithmeticError (not an assert, so it survives
+    ``python -O``) when the division leaves a remainder."""
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"{what} is not an integer")
+    return quotient
 
 
 # -- factorial families -------------------------------------------------------
@@ -90,13 +98,7 @@ def factorials(kind: str, n: int) -> int:
 
 def hlf_count(lam: Partition) -> int:
     """Number of standard tableaux of a straight shape, by the hook-length formula."""
-    prod = 1
-    for h in lam.hooks().values():
-        prod *= h
-    count, rem = divmod(factorial(lam.size), prod)
-    if rem:
-        raise ArithmeticError("hook-length count is not an integer")
-    return count
+    return _exact_quotient(factorial(lam.size), lam.hook_product(), "hook-length count")
 
 
 def naive_hlf(shape: SkewShape) -> Fraction:
@@ -167,9 +169,7 @@ def jacobi_trudi_count(shape: SkewShape) -> int:
     denom = 1
     for ai in a:
         denom *= factorial(ai)
-    count, rem = divmod(num, denom)
-    if rem:
-        raise ArithmeticError("determinant count is not an integer")
+    count = _exact_quotient(num, denom, "determinant count")
     if count < 0:
         raise ArithmeticError("determinant count is negative")
     return count
@@ -239,7 +239,7 @@ def catalan(m: int) -> int:
 # -- Littlewood-Richardson coefficients by brute force ----------------------------
 
 
-def lr_coefficient(lam, mu, nu, cap: int = DEFAULT_LR_CAP) -> int:
+def lr_coefficient(lam, mu, nu, cap: int = DEFAULT_BRUTE_CAP) -> int:
     """Multiplicity c^lam_{mu,nu}: skew semistandard fillings of lam/mu with
     content nu whose reverse reading word is a lattice word."""
     lam = lam if isinstance(lam, Partition) else Partition(lam)
@@ -297,28 +297,14 @@ def schur_principal(mu, ell: int) -> int:
     mu = mu if isinstance(mu, Partition) else Partition(mu)
     if ell < len(mu):
         return 0
-    hooks = mu.hooks()
-    num = 1
-    den = 1
-    for (i, j), h in hooks.items():
-        num *= ell + j - i
-        den *= h
-    count, rem = divmod(num, den)
-    if rem:
-        raise ArithmeticError("principal specialization is not an integer")
-    return count
+    num = prod(ell + j - i for i, j in mu.cells())
+    return _exact_quotient(num, mu.hook_product(), "principal specialization")
 
 
 def dual_hook_products(nu) -> tuple[int, int]:
     """Product of hooks and product of the complementary lengths i + j - 1."""
     nu = nu if isinstance(nu, Partition) else Partition(nu)
-    h = 1
-    for v in nu.hooks().values():
-        h *= v
-    hstar = 1
-    for i, j in nu.cells():
-        hstar *= i + j - 1
-    return h, hstar
+    return nu.hook_product(), prod(i + j - 1 for i, j in nu.cells())
 
 
 def rv_hook_identity_check(sigma, rows: int, cols: int) -> bool:

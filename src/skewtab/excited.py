@@ -13,11 +13,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 
 from .errors import CapExceeded
 from .exact import (
     _bareiss_det,
+    _exact_quotient,
     odd_double_factorial,
     schur_principal,
     superfactorial,
@@ -162,43 +163,50 @@ def xi_determinant(shape: SkewShape) -> int:
 
 def nhlf_count(shape: SkewShape, **caps) -> int:
     """Count standard tableaux as n! times the sum over excited diagrams of
-    reciprocal free-hook products; must agree with the determinant count."""
-    lam = shape.outer
-    hooks = lam.hooks()
-    total_product = 1
-    for h in hooks.values():
-        total_product *= h
-    acc = 0
-    for diagram in enumerate_excited(shape, **caps):
-        term = 1
-        for c in diagram:
-            term *= hooks[c]
-        acc += term
+    reciprocal free-hook products; must agree with the determinant count.
+
+    Over the common denominator prod(outer hooks), the numerator of a
+    diagram's term is the product of the outer hooks of its own cells.
+    """
+    hooks = shape.outer.hooks()
+    acc = sum(prod(hooks[c] for c in d) for d in enumerate_excited(shape, **caps))
     num = factorial(shape.size) * acc
-    assert num % total_product == 0, "hook-sum count is not an integer"
-    return num // total_product
+    return _exact_quotient(num, shape.outer.hook_product(), "hook-sum count")
 
 
-def min_max_term(shape: SkewShape, **caps) -> tuple[Fraction, Fraction]:
-    """Smallest and largest reciprocal hook product over excited diagrams.
+def top_excited_diagram(shape: SkewShape) -> Diagram:
+    """The one excited diagram that admits no move.
 
-    The largest is attained at the inner diagram itself, since every move
-    only grows the product of free hooks.
+    Excited diagrams are in bijection with flagged tableaux, a move raising
+    one entry by one.  These tableaux form a lattice in which only the top
+    element cannot be raised, so exactly one diagram admits no move and any
+    run of moves from the inner diagram ends there.
     """
     lam = shape.outer
-    hooks = lam.hooks()
-    total_product = 1
-    for h in hooks.values():
-        total_product *= h
-    best = None
-    worst = None
-    for diagram in enumerate_excited(shape, **caps):
-        term = 1
-        for c in diagram:
-            term *= hooks[c]
-        best = term if best is None else max(best, term)
-        worst = term if worst is None else min(worst, term)
-    return Fraction(worst, total_product), Fraction(best, total_product)
+    diagram = tuple(sorted(shape.inner.cells()))
+    while True:
+        occupied = set(diagram)
+        for i, j in diagram:
+            moved = _excited_move(lam, occupied, i, j)
+            if moved is not None:
+                diagram = moved
+                break
+        else:
+            return diagram
+
+
+def min_max_term(shape: SkewShape) -> tuple[Fraction, Fraction]:
+    """Smallest and largest reciprocal hook product over excited diagrams.
+
+    A move (i, j) -> (i + 1, j + 1) frees the cell (i, j) and covers
+    (i + 1, j + 1), whose outer hook is smaller by at least two, so every
+    move shrinks the term.  The largest term is therefore the inner
+    diagram's and the smallest the top diagram's: two diagrams, no
+    enumeration.
+    """
+    hooks = shape.outer.hooks()
+    top = prod(hooks[c] for c in top_excited_diagram(shape))
+    return Fraction(top, shape.outer.hook_product()), Fraction(1, shape.hook_product())
 
 
 # -- lattice paths ------------------------------------------------------------
@@ -330,8 +338,7 @@ def proctor_xi(k: int) -> int:
         for j in range(i + 1, k + 1):
             num *= k + i + j - 1
             den *= i + j - 1
-    assert num % den == 0
-    return num // den
+    return _exact_quotient(num, den, "Proctor product")
 
 
 def proctor_xi_superfactorial(k: int) -> int:
@@ -345,10 +352,10 @@ def proctor_xi_superfactorial(k: int) -> int:
         * odd_double_factorial(k // 2)
     )
     den = superfactorial(2 * k - 1) ** 3 * odd_double_factorial(3 * k // 2)
-    assert num % den == 0
-    radicand = num // den
+    radicand = _exact_quotient(num, den, "Proctor superfactorial ratio")
     root = isqrt(radicand)
-    assert root * root == radicand, "radicand is not a perfect square"
+    if root * root != radicand:
+        raise ArithmeticError("radicand is not a perfect square")
     return root
 
 
@@ -363,8 +370,7 @@ def macmahon_xi(k: int) -> int:
         for j in range(1, k + 1):
             num *= k + i + j - 1
             den *= i + j - 1
-    assert num % den == 0
-    return num // den
+    return _exact_quotient(num, den, "MacMahon product")
 
 
 def macmahon_xi_superfactorial(k: int) -> int:
@@ -372,8 +378,7 @@ def macmahon_xi_superfactorial(k: int) -> int:
         raise ValueError("k must be >= 1")
     num = superfactorial(k - 1) ** 3 * superfactorial(3 * k - 1)
     den = superfactorial(2 * k - 1) ** 3
-    assert num % den == 0
-    return num // den
+    return _exact_quotient(num, den, "MacMahon superfactorial ratio")
 
 
 # -- slim shapes ---------------------------------------------------------------
@@ -395,11 +400,9 @@ def slim_xi_checks(shape: SkewShape) -> SlimReport:
     if ell == 0 or lam.part(ell) < mu.part(1) + ell:
         raise ValueError("shape is not slim: need last outer part >= inner width + rows")
     xi = xi_determinant(shape)
-    assert xi == schur_principal(mu, ell)
-    prod = 1
-    for h in mu.hooks().values():
-        prod *= h
-    ratio = Fraction(xi * prod, ell**mu.size)
+    if xi != schur_principal(mu, ell):
+        raise ArithmeticError("excited count differs from the principal Schur value")
+    ratio = Fraction(xi * mu.hook_product(), ell**mu.size)
     staircase_ok = None
     if mu == Partition(range(ell - 1, 0, -1)):
         staircase_ok = xi == 2 ** comb(ell, 2)

@@ -8,6 +8,7 @@ j <= j'.  All objects here are immutable values and every function is pure.
 from __future__ import annotations
 
 from collections import Counter, deque
+from math import prod
 from typing import Iterator, NamedTuple
 
 
@@ -101,6 +102,10 @@ class Partition:
             for i, p in enumerate(self.parts, start=1)
             for j in range(1, p + 1)
         }
+
+    def hook_product(self) -> int:
+        """Product of all hook lengths; n! over it counts the standard tableaux."""
+        return prod(self.hooks().values())
 
     def durfee(self) -> int:
         """Side of the largest square fitting in the diagram."""

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from skewtab import cli, verify
 from skewtab.verify import SweepResult
 
@@ -34,8 +36,7 @@ def test_count_family_and_rational(capsys):
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "count", "5,4,4,1/2,1")
     _, second, _ = run_cli(capsys, "count", "5,4,4,1/2,1")
-    _, threaded, _ = run_cli(capsys, "count", "5,4,4,1/2,1", "--threads", "4")
-    assert first == second == threaded
+    assert first == second
 
 
 def test_usage_errors(capsys):
@@ -111,6 +112,97 @@ def test_integrate_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "integrate", str(spec))
     assert code == 0
     assert json.loads(out)["grid"] == 128
+
+
+def test_integrate_bad_specs(tmp_path, capsys):
+    cases = [
+        ([str(tmp_path / "missing.json")], "No such file"),
+        (['{"outer": 5}'], "[x, y]"),
+        (['{"outer": [[0,1],[1,1]], "inner": 7}'], "[x, y]"),
+        (['{"outer": [[0,1],[1,1]], "grid": null}'], "'grid'"),
+    ]
+    for argv, named in cases:
+        code, out, err = run_cli(capsys, "integrate", *argv)
+        assert code == 2, argv
+        assert out == "" and named in err, (argv, err)
+
+
+SHAPE_JUNK = [
+    "", "a", "-", "0", "-1", "/", "3/", "3,,2", "3,4/1", "2,1/3", "1,1/1,1",
+    "2.5", "square", "square:k=x", "square:k=-1", "bogus:k=2", "thick-ribbon:k=0",
+    "zigzag:k=0", "inverted-hook:k=0", "slim-stripe:ell=0", "ribbon-rho:k=1:m=0",
+    "regev-vershik:sigma=2,1:rows=0:cols=0", "staircase:k=1:r=2",
+]
+
+FUZZ_ARGV = (
+    [[], ["bogus"], ["count"], ["count", "2,1", "--threads", "4"]]
+    + [[cmd, shape] for cmd in ("count", "bounds", "excited", "nhlf") for shape in SHAPE_JUNK]
+    + [
+        ["count", "2,1", "--format", "xml"],
+        ["bounds", "3,2,1/1", "--format", "text"],
+        ["excited", "4,4/2", "--max-inner", "-1"],
+        ["excited", "4,4/2", "--max-excited", "0"],
+        ["excited", "4,4/2", "--max-inner", "x"],
+        ["excited", "-", "--paths", "--render"],
+        ["nhlf", "4,4/2", "--max-excited", "1"],
+        ["nhlf", "-"],
+        ["family", "bogus", "--k", "2"],
+        ["family", "square"],
+        ["family", "square", "--k", "x"],
+        ["family", "square", "--k", "1:2:0"],
+        ["family", "square", "--k", "1:2:3:4"],
+        ["family", "square", "--k", "3:1"],
+        ["family", "square", "--k", "0"],
+        ["family", "square", "--k", "-2"],
+        ["family", "zigzag", "--k", "0:1"],
+        ["family", "ribbon-rho", "--k", "2", "--m", "-1"],
+        ["family", "ribbon-rho", "--k", "2", "--m", "0"],
+        ["integrate", ""],
+        ["integrate", "{"],
+        ["integrate", "{}"],
+        ["integrate", '{"outer": []}'],
+        ["integrate", '{"outer": [[0,1]]}'],
+        ["integrate", '{"outer": [null, [1,1]]}'],
+        ["integrate", '{"outer": [[0,"a"],[1,1]]}'],
+        ["integrate", '{"outer": [[0,1,2],[1,1]]}'],
+        ["integrate", '{"outer": [[1,1],[0,1]]}'],
+        ["integrate", '{"outer": [[0,1],[1,1]], "inner": [[0,2],[1,2]]}'],
+        ["integrate", '{"outer": [[0,1],[1,1]], "inner": [[0,0],[2,0]]}'],
+        ["integrate", '{"outer": [[0,1],[1,1]], "grid": "x"}'],
+        ["integrate", '{"outer": [[0,1],[1,1]], "grid": [64]}'],
+        ["integrate", '{"outer": [[0,1],[1,1]], "grid": Infinity}'],
+        ["integrate", '{"outer": [[0,1],[1,1]], "grid": 10}'],
+        ["integrate", '{"outer": [[0,1],[1,1]]}', "--grid", "0"],
+        ["integrate", '{"outer": [[0,1],[1,1]]}', "--grid", "-64"],
+        ["integrate", '{"outer": [[0,NaN],[1,1]]}', "--grid", "64"],
+        ["lr"],
+        ["lr", "a", "b", "c"],
+        ["lr", "2,1", "1", "1"],
+        ["lr", "2,1", "3", "-"],
+        ["lr", "1,2", "1", "1"],
+        ["lr", "30", "-", "30"],
+        ["lr", "2,1", "1", "1,1", "--max-brute", "-1"],
+        ["verify", "--max-size", "-1"],
+        ["verify", "--max-size", "0"],
+        ["verify", "--max-size", "x"],
+        ["verify", "--max-size", "3", "--groups", ""],
+        ["verify", "--max-size", "3", "--groups", ",,"],
+        ["verify", "--max-size", "3", "--groups", "oracles,bogus"],
+    ]
+)
+
+
+def test_cli_fuzz(capsys):
+    """Junk arguments end in a documented exit code, never an uncaught exception."""
+    for argv in FUZZ_ARGV:
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        except Exception as exc:
+            pytest.fail(f"skewtab {' '.join(argv)} raised {exc!r}")
+        capsys.readouterr()
+        assert code in (0, 1, 2, 3), argv
 
 
 def test_lr_subcommand(capsys):

@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
+from skewtab import cli, excited
 from skewtab.errors import CapExceeded
 from skewtab.exact import brute_force_count, naive_hlf, schur_principal
 from skewtab.excited import (
@@ -19,6 +20,7 @@ from skewtab.excited import (
     proctor_xi_superfactorial,
     row_flags,
     slim_xi_checks,
+    top_excited_diagram,
     xi_bounds,
     xi_determinant,
 )
@@ -32,6 +34,7 @@ from skewtab.shapes import (
     thick_ribbon,
     zigzag,
 )
+from skewtab.verify import skew_shapes
 
 GOLDEN = SkewShape([4, 4, 3, 2], [2, 1])
 
@@ -116,7 +119,7 @@ def test_nhlf_count():
     assert nhlf_count(SkewShape(lam)) == hlf_count(lam)
 
 
-def test_min_max_term():
+def test_min_max_term(monkeypatch, capsys):
     lo, hi = min_max_term(GOLDEN)
     assert hi == naive_hlf(GOLDEN) / factorial(GOLDEN.size)
     assert lo <= hi
@@ -127,6 +130,43 @@ def test_min_max_term():
     assert hi == Fraction(1, 4)  # inner at (1,1) leaves free hooks 2, 2, 1
     assert lo == Fraction(1, 12)  # inner at (2,2) leaves free hooks 3, 2, 2
     assert factorial(3) * (hi + lo) == 2  # the two terms assemble the count
+
+    def enumerated_extremes(shape, **caps):
+        hooks, total = shape.outer.hooks(), shape.outer.hook_product()
+        terms = [prod(hooks[c] for c in d) for d in enumerate_excited(shape, **caps)]
+        return Fraction(min(terms), total), Fraction(max(terms), total)
+
+    # the inner and top diagrams give the extremes of the full enumeration
+    for shape in skew_shapes(9, connected_only=False):
+        assert is_excited_diagram(shape, top_excited_diagram(shape))
+        assert min_max_term(shape) == enumerated_extremes(shape), shape
+
+    # no enumeration, so no inner-size cap: |inner| = 13 > DEFAULT_MU_CAP
+    big = SkewShape([8, 8, 8, 8, 8, 8], [4, 4, 3, 2])
+    assert big.inner.size > excited.DEFAULT_MU_CAP
+    assert min_max_term(big) == enumerated_extremes(big, mu_cap=13)
+
+    # `skewtab nhlf` enumerates once, inside nhlf_count
+    calls = []
+    real = excited.enumerate_excited
+    monkeypatch.setattr(
+        excited, "enumerate_excited", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    assert cli.main(["nhlf", "4,4,3,2/2,1"]) == 0
+    assert len(calls) == 1
+    assert '"max-term": "1/2880"' in capsys.readouterr().out
+
+
+def test_soundness_checks_raise(monkeypatch):
+    # only the inner diagram of (2,2)/(1): 3! * 3 / 12 = 18/12 is not an integer
+    monkeypatch.setattr(
+        excited, "enumerate_excited", lambda shape, **caps: [tuple(sorted(shape.inner.cells()))]
+    )
+    with pytest.raises(ArithmeticError, match="hook-sum"):
+        nhlf_count(SkewShape([2, 2], [1]))
+    monkeypatch.setattr(excited, "schur_principal", lambda mu, ell: schur_principal(mu, ell) + 1)
+    with pytest.raises(ArithmeticError, match="Schur"):
+        slim_xi_checks(SkewShape([7, 6, 5], [2, 1]))
 
 
 def test_border_strips():
