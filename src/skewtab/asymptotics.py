@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log, sqrt
+from math import isfinite, log, sqrt
 
 import numpy as np
 
@@ -140,6 +140,8 @@ class _Boundary:
         pts = [(float(x), float(y)) for x, y in points]
         if len(pts) < 2:
             raise ValueError("a boundary needs at least two points")
+        if not all(isfinite(v) for pt in pts for v in pt):
+            raise ValueError("boundary coordinates must be finite numbers")
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x1 < x0 or y1 > y0:
                 raise ValueError("boundary must move right and weakly down")

@@ -146,7 +146,7 @@ def cmd_excited(args) -> int:
 
 def cmd_nhlf(args) -> int:
     shape = _resolve_shape(args.shape)
-    e = excited.nhlf_count(shape, mu_cap=args.max_inner, xi_cap=args.max_excited)
+    e = excited.nhlf_count(shape)
     lo, hi = excited.min_max_term(shape)
     doc = {
         "shape": shape_text(shape),
@@ -164,10 +164,14 @@ def _parse_range(spec: str) -> list[int]:
     if len(pieces) == 1:
         return [int(pieces[0])]
     if len(pieces) == 2:
-        return list(range(int(pieces[0]), int(pieces[1]) + 1))
-    if len(pieces) == 3:
-        return list(range(int(pieces[0]), int(pieces[1]) + 1, int(pieces[2])))
-    raise ShapeParseError("range must be K, LO:HI, or LO:HI:STEP")
+        ks = list(range(int(pieces[0]), int(pieces[1]) + 1))
+    elif len(pieces) == 3:
+        ks = list(range(int(pieces[0]), int(pieces[1]) + 1, int(pieces[2])))
+    else:
+        raise ShapeParseError("range must be K, LO:HI, or LO:HI:STEP")
+    if not ks:
+        raise ShapeParseError(f"range {spec!r} is empty")
+    return ks
 
 
 def cmd_family(args) -> int:
@@ -227,7 +231,11 @@ def cmd_lr(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_size < 1:
+        raise ShapeParseError(f"--max-size must be at least 1, got {args.max_size}")
     groups = tuple(g.strip() for g in args.groups.split(",") if g.strip())
+    if not groups:
+        raise ShapeParseError(f"--groups names no sweep: {args.groups!r}")
     results = verify.run_suite(max_size=args.max_size, groups=groups)
     failed = False
     for res in results:
@@ -276,8 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("nhlf", cmd_nhlf, "count through the excited hook sum")
     p.add_argument("shape")
-    p.add_argument("--max-excited", type=int, default=max_exc)
-    p.add_argument("--max-inner", type=int, default=max_inner)
 
     p = add("family", cmd_family, "CSV report over a parametric family")
     p.add_argument("family", choices=sorted(shapes.FAMILY_BUILDERS))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isqrt, prod
+from math import comb, factorial, isqrt, lcm, prod
 
 from .errors import CapExceeded
 from .exact import (
@@ -161,17 +161,37 @@ def xi_determinant(shape: SkewShape) -> int:
 # -- the hook-sum count -------------------------------------------------------
 
 
-def nhlf_count(shape: SkewShape, **caps) -> int:
-    """Count standard tableaux as n! times the sum over excited diagrams of
-    reciprocal free-hook products; must agree with the determinant count.
+def nhlf_count(shape: SkewShape) -> int:
+    """Count standard tableaux as n! times the sum over excited diagrams D of
+    prod_{u in outer, u not in D} 1/h(u); must agree with the determinant count.
 
-    Over the common denominator prod(outer hooks), the numerator of a
-    diagram's term is the product of the outer hooks of its own cells.
+    The complements of the excited diagrams are the non-intersecting up/right
+    path families in the outer shape joining each border strip's start to its
+    end (Kreiman; Morales-Pak-Panova), so by Lindstrom-Gessel-Viennot the sum
+    is one determinant of path sums; nothing is enumerated.  A cell u weighs
+    C / h(u), C the lcm of the outer hooks, and every family covers n cells,
+    so the integer determinant is C^n times the hook sum.
     """
-    hooks = shape.outer.hooks()
-    acc = sum(prod(hooks[c] for c in d) for d in enumerate_excited(shape, **caps))
-    num = factorial(shape.size) * acc
-    return _exact_quotient(num, shape.outer.hook_product(), "hook-sum count")
+    lam, n = shape.outer, shape.size
+    hooks = lam.hooks()
+    scale = lcm(*hooks.values())
+    weight = {c: scale // h for c, h in hooks.items()}
+    strips = border_strip_decomposition(shape)
+    ends = [strip[-1] for strip in strips]
+    det = _bareiss_det([_path_sums(lam, weight, strip[0], ends) for strip in strips])
+    if det <= 0:
+        raise ArithmeticError("hook-sum determinant is not positive")
+    return _exact_quotient(factorial(n) * det, scale**n, "hook-sum count")
+
+
+def _path_sums(lam: Partition, weight, start: Cell, ends) -> list[int]:
+    """Weighted number of up/right paths in lam from start to each end."""
+    r0, c0 = start
+    total = {(r0, c0 - 1): 1}  # a unit source entering the start from the left
+    for i in range(r0, 0, -1):
+        for j in range(c0, lam.part(i) + 1):
+            total[i, j] = weight[i, j] * (total.get((i + 1, j), 0) + total.get((i, j - 1), 0))
+    return [total.get(end, 0) for end in ends]
 
 
 def top_excited_diagram(shape: SkewShape) -> Diagram:
@@ -227,48 +247,33 @@ class PathFamily:
         return tuple((p[0], p[-1]) for p in self.paths)
 
 
-def _strip_components(layer: set[Cell]) -> list[tuple[Cell, ...]]:
-    comps = []
-    todo = set(layer)
-    while todo:
-        seed = todo.pop()
-        comp = {seed}
-        queue = deque([seed])
-        while queue:
-            i, j = queue.popleft()
-            for nb in (Cell(i + 1, j), Cell(i - 1, j), Cell(i, j + 1), Cell(i, j - 1)):
-                if nb in todo:
-                    todo.remove(nb)
-                    comp.add(nb)
-                    queue.append(nb)
-        # cells of one component lie on consecutive diagonals, SW to NE
-        comps.append(tuple(sorted(comp, key=lambda c: c.col - c.row)))
-    comps.sort(key=lambda p: p[0])
-    return comps
-
-
-def _peel_strips(support: set[Cell]) -> list[tuple[Cell, ...]]:
-    """Split a diagram complement into border strips, innermost first.
-
-    Each layer takes the cells whose upper-left diagonal neighbor lies outside
-    the remaining support; layers hug the inner shape, so every strip runs
-    from the southern box of a column to the eastern box of a row and the
-    endpoints do not depend on which excited diagram was removed.
-    """
-    strips = []
-    remaining = set(support)
-    while remaining:
-        layer = {c for c in remaining if (c.row - 1, c.col - 1) not in remaining}
-        strips.extend(_strip_components(layer))
-        remaining -= layer
-    strips.sort(key=lambda p: p[0])
-    return strips
-
-
 def border_strip_decomposition(shape: SkewShape) -> list[tuple[Cell, ...]]:
     """The unique decomposition of the skew cells into border strips, each
-    running from the bottom of a column to the end of a row."""
-    return _peel_strips({Cell(i, j) for i, j in shape.cells()})
+    running from the bottom of a column to the end of a row, sorted by start.
+
+    A cell's depth is one more than its up-left neighbor's if that is a skew
+    cell, else one; the strips are the connected runs of equal depth.  A
+    strip starts at a cell with no equal-depth neighbor below or to the left
+    and walks up, else right, through cells of its depth.
+    """
+    cells = shape.cells()  # reading order: every up-left neighbor comes first
+    depth: dict[Cell, int] = {}
+    for c in cells:
+        depth[c] = depth.get((c.row - 1, c.col - 1), 0) + 1
+    strips = []
+    for i, j in cells:
+        d = depth[i, j]
+        if depth.get((i + 1, j)) == d or depth.get((i, j - 1)) == d:
+            continue
+        strip = [Cell(i, j)]
+        while True:
+            i, j = strip[-1]
+            nxt = Cell(i - 1, j) if depth.get((i - 1, j)) == d else Cell(i, j + 1)
+            if depth.get(nxt) != d:
+                break
+            strip.append(nxt)
+        strips.append(tuple(strip))
+    return strips
 
 
 def paths_from_diagram(shape: SkewShape, diagram) -> PathFamily:

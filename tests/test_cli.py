@@ -120,6 +120,9 @@ def test_integrate_bad_specs(tmp_path, capsys):
         (['{"outer": 5}'], "[x, y]"),
         (['{"outer": [[0,1],[1,1]], "inner": 7}'], "[x, y]"),
         (['{"outer": [[0,1],[1,1]], "grid": null}'], "'grid'"),
+        (['{"outer": [[0,NaN],[1,1]]}', "--grid", "64"], "finite"),
+        (['{"outer": [[0,1],[Infinity,1]]}'], "finite"),
+        (['{"outer": [[0,1],[1,1]], "inner": [[0,-Infinity],[1,0]]}'], "finite"),
     ]
     for argv, named in cases:
         code, out, err = run_cli(capsys, "integrate", *argv)
@@ -203,6 +206,33 @@ def test_cli_fuzz(capsys):
             pytest.fail(f"skewtab {' '.join(argv)} raised {exc!r}")
         capsys.readouterr()
         assert code in (0, 1, 2, 3), argv
+
+
+def test_vacuous_runs_are_usage_errors(capsys):
+    # a sweep or a report that would check nothing must not read as a pass
+    cases = [
+        (["verify", "--max-size", "0"], "--max-size"),
+        (["verify", "--max-size", "-1"], "--max-size"),
+        (["verify", "--max-size", "3", "--groups", ""], "--groups"),
+        (["verify", "--max-size", "3", "--groups", ",,"], "--groups"),
+        (["family", "square", "--k", "3:1"], "empty"),
+        (["family", "square", "--k", "2:6:-1"], "empty"),
+    ]
+    for argv, named in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and named in err, (argv, err)
+
+
+def test_nhlf_has_no_enumeration_caps(capsys):
+    # |inner| = 13 was over the enumeration cap; the hook sum needs none
+    code, out, _ = run_cli(capsys, "nhlf", "8,8,8,8,8,8/4,4,3,2")
+    assert code == 0
+    _, counted, _ = run_cli(capsys, "count", "8,8,8,8,8,8/4,4,3,2")
+    assert json.loads(out)["e"] == json.loads(counted)["e"]
+    with pytest.raises(SystemExit):
+        cli.main(["nhlf", "4,4/2", "--max-inner", "3"])
+    capsys.readouterr()
 
 
 def test_lr_subcommand(capsys):

@@ -114,9 +114,22 @@ def test_nhlf_count():
     assert nhlf_count(GOLDEN) == 3060
     assert nhlf_count(SkewShape([3, 2, 1], [1])) == 16
     lam = Partition([4, 2, 1])
-    from skewtab.exact import hlf_count
+    from skewtab.exact import hlf_count, jacobi_trudi_count
 
     assert nhlf_count(SkewShape(lam)) == hlf_count(lam)
+
+    def enumerated_hook_sum(shape):
+        # the hook sum term by term: n! * sum over D of prod_{u off D} 1/h(u)
+        hooks = shape.outer.hooks()
+        acc = sum(prod(hooks[c] for c in d) for d in enumerate_excited(shape))
+        return Fraction(factorial(shape.size) * acc, shape.outer.hook_product())
+
+    for shape in skew_shapes(9, connected_only=False):
+        assert nhlf_count(shape) == enumerated_hook_sum(shape), shape
+
+    # far beyond enumeration: xi(thick_ribbon(12)) ~ 1.16e22, |inner| = 13 > DEFAULT_MU_CAP
+    for shape in (thick_ribbon(12), SkewShape([8] * 6, [4, 4, 3, 2])):
+        assert nhlf_count(shape) == jacobi_trudi_count(shape), shape
 
 
 def test_min_max_term(monkeypatch, capsys):
@@ -146,24 +159,27 @@ def test_min_max_term(monkeypatch, capsys):
     assert big.inner.size > excited.DEFAULT_MU_CAP
     assert min_max_term(big) == enumerated_extremes(big, mu_cap=13)
 
-    # `skewtab nhlf` enumerates once, inside nhlf_count
+    # `skewtab nhlf` enumerates no excited diagram
     calls = []
     real = excited.enumerate_excited
     monkeypatch.setattr(
         excited, "enumerate_excited", lambda *a, **kw: calls.append(a) or real(*a, **kw)
     )
     assert cli.main(["nhlf", "4,4,3,2/2,1"]) == 0
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert '"max-term": "1/2880"' in capsys.readouterr().out
 
 
 def test_soundness_checks_raise(monkeypatch):
-    # only the inner diagram of (2,2)/(1): 3! * 3 / 12 = 18/12 is not an integer
-    monkeypatch.setattr(
-        excited, "enumerate_excited", lambda shape, **caps: [tuple(sorted(shape.inner.cells()))]
-    )
+    # (2,2)/(1): the path determinant is 72 = 6^3 / 3, one more gives 3! * 73 / 6^3
+    real_det = excited._bareiss_det
+    monkeypatch.setattr(excited, "_bareiss_det", lambda mat: real_det(mat) + 1)
     with pytest.raises(ArithmeticError, match="hook-sum"):
         nhlf_count(SkewShape([2, 2], [1]))
+    monkeypatch.setattr(excited, "_bareiss_det", lambda mat: -real_det(mat))
+    with pytest.raises(ArithmeticError, match="hook-sum"):
+        nhlf_count(SkewShape([2, 2], [1]))
+    monkeypatch.setattr(excited, "_bareiss_det", real_det)
     monkeypatch.setattr(excited, "schur_principal", lambda mu, ell: schur_principal(mu, ell) + 1)
     with pytest.raises(ArithmeticError, match="Schur"):
         slim_xi_checks(SkewShape([7, 6, 5], [2, 1]))
@@ -175,6 +191,15 @@ def test_border_strips():
     assert sum(len(s) for s in strips) == GOLDEN.size
     assert len(border_strip_decomposition(zigzag(3))) == 1
     assert len(border_strip_decomposition(SkewShape([2, 2], [1]))) == 1
+    for shape in skew_shapes(9, connected_only=False):
+        strips = border_strip_decomposition(shape)
+        cells = [c for strip in strips for c in strip]
+        assert sorted(cells) == shape.cells(), shape  # every skew cell exactly once
+        assert [s[0] for s in strips] == sorted(s[0] for s in strips)
+        for strip in strips:
+            # each step goes up or right, so one cell per diagonal
+            for (i, j), nxt in zip(strip, strip[1:]):
+                assert nxt in ((i - 1, j), (i, j + 1)), (shape, strip)
 
 
 def test_paths_from_diagram():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from skewtab.bounds import upper_ideal_sizes
 from skewtab.exact import brute_force_count, jacobi_trudi_count
+from skewtab.excited import nhlf_count
 from skewtab.shapes import SkewShape
 
 
@@ -41,6 +42,14 @@ def _conjugate(shape):
 @given(random_skew_shapes(20, connected=True))
 def test_jacobi_trudi_matches_order_ideal_dp(shape):
     assert jacobi_trudi_count(shape) == brute_force_count(shape, cap=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(40, connected=False))
+def test_hook_sum_matches_jacobi_trudi(shape):
+    # with the test above: JT = NHLF = DP, the hook sum here also on
+    # disconnected shapes and beyond the DP's reach
+    assert nhlf_count(shape) == jacobi_trudi_count(shape)
 
 
 @settings(max_examples=100, deadline=None)
