@@ -3,16 +3,12 @@
 Exit codes: 0 success, 1 verdict/numeric failure, 2 usage error, 3 resource
 cap exceeded.  Big integers are emitted as decimal strings, rationals as
 "p/q", and output is deterministic byte-for-byte for identical commands.
-Caps can also be set through the SKEWTAB_MAX_EXCITED, SKEWTAB_MAX_INNER,
-SKEWTAB_MAX_BRUTE and SKEWTAB_GRID environment variables; flags win over
-the environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -24,16 +20,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ShapeParseError(f"environment variable {name} must be an integer")
 
 
 def _num(value) -> str:
@@ -211,7 +197,7 @@ def cmd_integrate(args) -> int:
     grid = args.grid
     if grid is None:
         try:
-            grid = int(spec.get("grid", args.grid_default))
+            grid = int(spec.get("grid", 512))
         except (TypeError, ValueError, OverflowError):
             raise ShapeParseError(f"spec 'grid' must be an integer, got {spec['grid']!r}")
     value = asymptotics.hook_integral(shape, grid=grid)
@@ -262,11 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=fn)
         return p
 
-    max_exc = _env_int("SKEWTAB_MAX_EXCITED", excited.DEFAULT_XI_CAP)
-    max_inner = _env_int("SKEWTAB_MAX_INNER", excited.DEFAULT_MU_CAP)
-    max_brute = _env_int("SKEWTAB_MAX_BRUTE", exact.DEFAULT_BRUTE_CAP)
-    grid_default = _env_int("SKEWTAB_GRID", 512)
-
     p = add("count", cmd_count, "exact count, naive hook value, excited count")
     p.add_argument("shape")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -279,8 +260,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape")
     p.add_argument("--paths", action="store_true", help="include path families")
     p.add_argument("--render", action="store_true", help="plain-text grids")
-    p.add_argument("--max-excited", type=int, default=max_exc)
-    p.add_argument("--max-inner", type=int, default=max_inner)
+    p.add_argument("--max-excited", type=int, default=excited.DEFAULT_XI_CAP)
+    p.add_argument("--max-inner", type=int, default=excited.DEFAULT_MU_CAP)
 
     p = add("nhlf", cmd_nhlf, "count through the excited hook sum")
     p.add_argument("shape")
@@ -293,13 +274,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("integrate", cmd_integrate, "hook integral of a piecewise-linear shape")
     p.add_argument("spec", help="JSON file path or inline JSON")
     p.add_argument("--grid", type=int, default=None)
-    p.set_defaults(grid_default=grid_default)
 
     p = add("lr", cmd_lr, "Littlewood-Richardson coefficient")
     p.add_argument("outer")
     p.add_argument("mu")
     p.add_argument("nu")
-    p.add_argument("--max-brute", type=int, default=max_brute)
+    p.add_argument("--max-brute", type=int, default=exact.DEFAULT_BRUTE_CAP)
 
     p = add("verify", cmd_verify, "run the exhaustive small-shape sweeps")
     p.add_argument("--max-size", type=int, default=8)

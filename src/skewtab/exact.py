@@ -242,9 +242,9 @@ def catalan(m: int) -> int:
 def lr_coefficient(lam, mu, nu, cap: int = DEFAULT_BRUTE_CAP) -> int:
     """Multiplicity c^lam_{mu,nu}: skew semistandard fillings of lam/mu with
     content nu whose reverse reading word is a lattice word."""
-    lam = lam if isinstance(lam, Partition) else Partition(lam)
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
-    nu = nu if isinstance(nu, Partition) else Partition(nu)
+    lam = Partition(lam)
+    mu = Partition(mu)
+    nu = Partition(nu)
     if lam.size != mu.size + nu.size:
         raise ValueError("sizes must satisfy |lam| = |mu| + |nu|")
     if lam.size > cap:
@@ -294,7 +294,7 @@ def lr_coefficient(lam, mu, nu, cap: int = DEFAULT_BRUTE_CAP) -> int:
 
 def schur_principal(mu, ell: int) -> int:
     """Schur polynomial of mu at ell ones: semistandard fillings with entries <= ell."""
-    mu = mu if isinstance(mu, Partition) else Partition(mu)
+    mu = Partition(mu)
     if ell < len(mu):
         return 0
     num = prod(ell + j - i for i, j in mu.cells())
@@ -303,7 +303,7 @@ def schur_principal(mu, ell: int) -> int:
 
 def dual_hook_products(nu) -> tuple[int, int]:
     """Product of hooks and product of the complementary lengths i + j - 1."""
-    nu = nu if isinstance(nu, Partition) else Partition(nu)
+    nu = Partition(nu)
     return nu.hook_product(), prod(i + j - 1 for i, j in nu.cells())
 
 
@@ -312,7 +312,7 @@ def rv_hook_identity_check(sigma, rows: int, cols: int) -> bool:
     multiset as sigma and the rectangle taken together."""
     from .shapes import regev_vershik_shape
 
-    sigma = sigma if isinstance(sigma, Partition) else Partition(sigma)
+    sigma = Partition(sigma)
     shape = regev_vershik_shape(sigma, rows, cols)
     expected = Counter(sigma.hooks().values())
     expected.update(Partition([cols] * rows).hooks().values())

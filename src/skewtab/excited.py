@@ -1,5 +1,6 @@
-"""Excited diagrams: enumeration, the flag determinant, the hook-sum count,
-the lattice-path decomposition, and the closed product forms.
+"""Excited diagrams: enumeration, their count by the flag determinant and by
+non-intersecting paths, the hook-sum count, the lattice-path decomposition,
+and the closed product forms.
 
 An excited diagram of outer/inner is any cell set reachable from the inner
 diagram by moves (i, j) -> (i+1, j+1), allowed when the three cells to the
@@ -40,11 +41,14 @@ def enumerate_excited(
 
     The same diagram is reachable along many move orders, so states are
     deduplicated by their sorted cell set.  The first element is always the
-    inner diagram itself.
+    inner diagram itself.  Both caps are checked before the search starts,
+    the number of diagrams by the flag determinant.
     """
     lam, mu = shape.outer, shape.inner
     if mu.size > mu_cap:
         raise CapExceeded(f"excited enumeration needs |inner| <= {mu_cap}, got {mu.size}")
+    if xi_determinant(shape) > xi_cap:
+        raise CapExceeded(f"more than {xi_cap} excited diagrams")
     start = tuple(sorted(mu.cells()))
     seen = {start}
     order = [start]
@@ -54,12 +58,8 @@ def enumerate_excited(
         occupied = set(diagram)
         for i, j in diagram:
             moved = _excited_move(lam, occupied, i, j)
-            if moved is None:
-                continue
-            if moved not in seen:
+            if moved is not None and moved not in seen:
                 seen.add(moved)
-                if len(seen) > xi_cap:
-                    raise CapExceeded(f"more than {xi_cap} excited diagrams")
                 order.append(moved)
                 queue.append(moved)
     return order
@@ -101,33 +101,6 @@ def is_excited_diagram(shape: SkewShape, diagram) -> bool:
     return True
 
 
-def flagged_tableaux_count(shape: SkewShape) -> int:
-    """Semistandard fillings of the inner shape with row-i entries at most the
-    i-th flag; equinumerous with the excited diagrams (test cross-check)."""
-    mu = shape.inner
-    flags = row_flags(shape)
-    rows = [mu.part(i) for i in range(1, len(mu) + 1)]
-    grid: list[list[int]] = [[0] * r for r in rows]
-
-    def backtrack(i: int, j: int) -> int:
-        if i == len(rows):
-            return 1
-        ni, nj = (i, j + 1) if j + 1 < rows[i] else (i + 1, 0)
-        lo = 1
-        if j > 0:
-            lo = max(lo, grid[i][j - 1])
-        if i > 0 and j < rows[i - 1]:
-            lo = max(lo, grid[i - 1][j] + 1)
-        total = 0
-        for v in range(lo, flags[i] + 1):
-            grid[i][j] = v
-            total += backtrack(ni, nj)
-        grid[i][j] = 0
-        return total
-
-    return backtrack(0, 0) if rows else 1
-
-
 def row_flags(shape: SkewShape) -> list[int]:
     """Flag of row i: the last row at which the diagonal through the end of
     inner row i is still inside the outer shape."""
@@ -145,8 +118,6 @@ def row_flags(shape: SkewShape) -> list[int]:
 def xi_determinant(shape: SkewShape) -> int:
     """Number of excited diagrams, by the binomial determinant over flags."""
     mu = shape.inner
-    if not shape.outer.contains(mu):
-        raise ValueError("inner not contained in outer")
     ell = len(mu)
     if ell == 0:
         return 1
@@ -172,16 +143,30 @@ def nhlf_count(shape: SkewShape) -> int:
     C / h(u), C the lcm of the outer hooks, and every family covers n cells,
     so the integer determinant is C^n times the hook sum.
     """
-    lam, n = shape.outer, shape.size
-    hooks = lam.hooks()
+    n = shape.size
+    hooks = shape.outer.hooks()
     scale = lcm(*hooks.values())
-    weight = {c: scale // h for c, h in hooks.items()}
-    strips = border_strip_decomposition(shape)
-    ends = [strip[-1] for strip in strips]
-    det = _bareiss_det([_path_sums(lam, weight, strip[0], ends) for strip in strips])
+    det = _path_determinant(shape, {c: scale // h for c, h in hooks.items()})
     if det <= 0:
         raise ArithmeticError("hook-sum determinant is not positive")
     return _exact_quotient(factorial(n) * det, scale**n, "hook-sum count")
+
+
+def xi_path_count(shape: SkewShape) -> int:
+    """Number of excited diagrams, as the number of non-intersecting path
+    families of the hook sum: its path determinant with every cell weighing 1.
+
+    Independent of the flag determinant `xi_determinant`.
+    """
+    return _path_determinant(shape, dict.fromkeys(shape.outer.cells(), 1))
+
+
+def _path_determinant(shape: SkewShape, weight) -> int:
+    """Lindstrom-Gessel-Viennot: the weighted sum over non-intersecting
+    up/right path families joining each border strip's start to its end."""
+    strips = border_strip_decomposition(shape)
+    ends = [strip[-1] for strip in strips]
+    return _bareiss_det([_path_sums(shape.outer, weight, strip[0], ends) for strip in strips])
 
 
 def _path_sums(lam: Partition, weight, start: Cell, ends) -> list[int]:

@@ -7,7 +7,7 @@ j <= j'.  All objects here are immutable values and every function is pure.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from math import prod
 from typing import Iterator, NamedTuple
 
@@ -149,12 +149,11 @@ class SkewShape:
     __slots__ = ("outer", "inner")
 
     def __init__(self, outer, inner=()):
-        outer = outer if isinstance(outer, Partition) else Partition(outer)
-        inner = inner if isinstance(inner, Partition) else Partition(inner)
-        if not outer.contains(inner):
-            for i in range(1, len(inner) + 1):
-                if inner.part(i) > outer.part(i):
-                    raise ValueError(f"inner part exceeds outer part at row {i}")
+        outer = Partition(outer)
+        inner = Partition(inner)
+        for i in range(1, len(inner) + 1):
+            if inner.part(i) > outer.part(i):
+                raise ValueError(f"inner not contained in outer at row {i}")
         self.outer = outer
         self.inner = inner
 
@@ -206,21 +205,17 @@ class SkewShape:
         return prod
 
     def is_connected(self) -> bool:
-        """Edge-connectivity of the cell set; the empty shape counts as connected."""
-        cells = set(self.cells())
-        if not cells:
+        """Edge-connectivity of the cell set; the empty shape counts as connected.
+
+        Rows i and i + 1 share a column iff inner_i < outer_{i+1}, which also
+        fails when either row is empty, so the shape is connected iff that
+        holds from its first nonempty row up to its last.
+        """
+        rows = self.row_bounds()
+        nonempty = [i for i, (lo, hi) in enumerate(rows) if lo < hi]
+        if not nonempty:
             return True
-        seen = set()
-        queue = deque([next(iter(cells))])
-        while queue:
-            i, j = queue.popleft()
-            if (i, j) in seen:
-                continue
-            seen.add((i, j))
-            for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
-                if nb in cells and nb not in seen:
-                    queue.append(nb)
-        return len(seen) == len(cells)
+        return all(rows[i][0] < rows[i + 1][1] for i in range(nonempty[0], nonempty[-1]))
 
     def is_ribbon_hook(self) -> bool:
         """At most one cell on every diagonal j - i."""
@@ -310,11 +305,10 @@ def parse_shape(text: str):
     head, sep, tail = text.partition("/")
     outer = _parse_parts(head, "outer")
     inner = _parse_parts(tail, "inner") if sep else Partition()
-    if not outer.contains(inner):
-        for i in range(1, len(inner) + 1):
-            if inner.part(i) > outer.part(i):
-                raise ShapeParseError(f"inner not contained in outer at row {i}")
-    return SkewShape(outer, inner)
+    try:
+        return SkewShape(outer, inner)
+    except ValueError as exc:
+        raise ShapeParseError(str(exc)) from None
 
 
 def shape_text(shape: SkewShape) -> str:
@@ -404,7 +398,7 @@ def regev_vershik_shape(sigma, rows: int, cols: int) -> SkewShape:
     |sigma| + rows*cols cells and its skew hooks are exactly the hooks of
     sigma together with the hooks of the rectangle.
     """
-    sigma = sigma if isinstance(sigma, Partition) else Partition(sigma)
+    sigma = Partition(sigma)
     if rows < 1 or cols < 1:
         raise ValueError("rectangle dimensions must be >= 1")
     if len(sigma) > rows or sigma.part(1) > cols:

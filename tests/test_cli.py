@@ -3,6 +3,7 @@ import json
 import pytest
 
 from skewtab import cli, verify
+from skewtab.shapes import SkewShape
 from skewtab.verify import SweepResult
 
 
@@ -253,13 +254,29 @@ def test_verify_unknown_group(capsys):
 
 
 def test_env_cap_override(monkeypatch, capsys):
-    monkeypatch.setenv("SKEWTAB_MAX_INNER", "2")
-    code, _, err = run_cli(capsys, "excited", "4,4,4/2,1")
+    code, _, err = run_cli(capsys, "excited", "4,4,4/2,1", "--max-inner", "2")
     assert code == 3
-    monkeypatch.setenv("SKEWTAB_GRID", "128")
-    code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]]}')
+    code, _, err = run_cli(capsys, "excited", "4,4,4/2,1", "--max-excited", "4")
+    assert code == 3 and "more than 4 excited diagrams" in err
+    code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]]}', "--grid", "128")
     assert code == 0
     assert json.loads(out)["grid"] == 128
+    code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]], "grid": 64}')
+    assert json.loads(out)["grid"] == 64
+    # caps are flags only; the environment no longer sets them
+    monkeypatch.setenv("SKEWTAB_MAX_INNER", "2")
+    monkeypatch.setenv("SKEWTAB_GRID", "128")
+    assert run_cli(capsys, "excited", "4,4,4/2,1")[0] == 0
+    code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]]}')
+    assert code == 0 and json.loads(out)["grid"] == 512
+
+
+def test_verify_beyond_enumeration_cap(monkeypatch):
+    # |inner| = 13 > DEFAULT_MU_CAP: xi is checked by the path count alone
+    shape = SkewShape([6, 6, 6, 5], [5, 4, 3, 1])
+    monkeypatch.setattr(verify, "skew_shapes", lambda max_size: iter([shape]))
+    result = verify.oracle_sweep(14)
+    assert (result.checked, result.failures) == (1, [])
 
 
 def test_verify_failure_exit(monkeypatch, capsys):

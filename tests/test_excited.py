@@ -9,7 +9,6 @@ from skewtab.exact import brute_force_count, naive_hlf, schur_principal
 from skewtab.excited import (
     border_strip_decomposition,
     enumerate_excited,
-    flagged_tableaux_count,
     is_excited_diagram,
     macmahon_xi,
     macmahon_xi_superfactorial,
@@ -23,6 +22,7 @@ from skewtab.excited import (
     top_excited_diagram,
     xi_bounds,
     xi_determinant,
+    xi_path_count,
 )
 from skewtab.shapes import (
     Cell,
@@ -37,6 +37,33 @@ from skewtab.shapes import (
 from skewtab.verify import skew_shapes
 
 GOLDEN = SkewShape([4, 4, 3, 2], [2, 1])
+
+
+def flagged_tableaux_count(shape: SkewShape) -> int:
+    """Semistandard fillings of the inner shape with row-i entries at most the
+    i-th flag; equinumerous with the excited diagrams (a third count of xi)."""
+    mu = shape.inner
+    flags = row_flags(shape)
+    rows = [mu.part(i) for i in range(1, len(mu) + 1)]
+    grid: list[list[int]] = [[0] * r for r in rows]
+
+    def backtrack(i: int, j: int) -> int:
+        if i == len(rows):
+            return 1
+        ni, nj = (i, j + 1) if j + 1 < rows[i] else (i + 1, 0)
+        lo = 1
+        if j > 0:
+            lo = max(lo, grid[i][j - 1])
+        if i > 0 and j < rows[i - 1]:
+            lo = max(lo, grid[i - 1][j] + 1)
+        total = 0
+        for v in range(lo, flags[i] + 1):
+            grid[i][j] = v
+            total += backtrack(ni, nj)
+        grid[i][j] = 0
+        return total
+
+    return backtrack(0, 0) if rows else 1
 
 
 def test_enumerate_golden():
@@ -56,6 +83,18 @@ def test_enumerate_small():
         enumerate_excited(SkewShape([8, 8, 8, 8], [4, 4, 4, 4]), mu_cap=10)
     with pytest.raises(CapExceeded):
         enumerate_excited(GOLDEN, xi_cap=3)
+    assert len(enumerate_excited(GOLDEN, xi_cap=5)) == 5
+
+
+def test_enumeration_cap_checked_before_work(monkeypatch):
+    moves = []
+    real = excited._excited_move
+    monkeypatch.setattr(
+        excited, "_excited_move", lambda *a: moves.append(a) or real(*a)
+    )
+    with pytest.raises(CapExceeded, match="more than 100 excited diagrams"):
+        enumerate_excited(SkewShape([9] * 9, [3, 3, 3]), xi_cap=100)
+    assert moves == []
 
 
 def test_diagram_characterization():
@@ -108,6 +147,19 @@ def test_flagged_cross_check(small_connected_shapes):
     for shape in small_connected_shapes[::7]:
         assert flagged_tableaux_count(shape) == xi_determinant(shape)
     assert flagged_tableaux_count(GOLDEN) == 5
+
+
+def test_xi_path_count():
+    assert xi_path_count(GOLDEN) == 5
+    assert xi_path_count(SkewShape([3, 2, 1])) == 1
+    assert xi_path_count(SkewShape([3], [3])) == 1  # no skew cells, one diagram
+    # the three counts of xi agree, disconnected shapes included
+    for shape in skew_shapes(9, connected_only=False):
+        assert xi_path_count(shape) == xi_determinant(shape) == flagged_tableaux_count(shape)
+    # beyond enumeration: |inner| = 13 > DEFAULT_MU_CAP, and far larger
+    assert xi_path_count(SkewShape([6, 6, 6, 5], [5, 4, 3, 1])) == 28
+    assert xi_path_count(thick_ribbon(8)) == proctor_xi(8)
+    assert xi_path_count(inverted_thick_hook(6)) == macmahon_xi(6)
 
 
 def test_nhlf_count():

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewtab.bounds import upper_ideal_sizes
-from skewtab.exact import brute_force_count, jacobi_trudi_count
-from skewtab.excited import nhlf_count
-from skewtab.shapes import SkewShape
+from skewtab.exact import brute_force_count, jacobi_trudi_count, naive_hlf
+from skewtab.excited import nhlf_count, xi_determinant, xi_path_count
+from skewtab.shapes import SkewShape, parse_shape, shape_text
 
 
 @st.composite
@@ -50,6 +50,26 @@ def test_hook_sum_matches_jacobi_trudi(shape):
     # with the test above: JT = NHLF = DP, the hook sum here also on
     # disconnected shapes and beyond the DP's reach
     assert nhlf_count(shape) == jacobi_trudi_count(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(40, connected=False))
+def test_xi_paths_match_flag_determinant(shape):
+    assert xi_path_count(shape) == xi_determinant(shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_skew_shapes(40, connected=False))
+def test_naive_hook_sandwich(shape):
+    # F <= e <= xi * F, exactly
+    F, e = naive_hlf(shape), jacobi_trudi_count(shape)
+    assert F <= e <= xi_determinant(shape) * F
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+def test_shape_text_round_trip(shape):
+    assert parse_shape(shape_text(shape)) == shape
 
 
 @settings(max_examples=100, deadline=None)

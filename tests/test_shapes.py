@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 
@@ -158,10 +159,39 @@ def test_rotate180_involution_random():
         assert sorted(rotated.antidiagonal_ranks()) == sorted(shape.antidiagonal_ranks())
 
 
+def _edge_connected(shape):
+    """Reference: breadth-first search over the skew cells."""
+    cells = set(shape.cells())
+    if not cells:
+        return True
+    seen = set()
+    queue = deque([next(iter(cells))])
+    while queue:
+        i, j = queue.popleft()
+        if (i, j) in seen:
+            continue
+        seen.add((i, j))
+        for nb in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+            if nb in cells and nb not in seen:
+                queue.append(nb)
+    return len(seen) == len(cells)
+
+
 def test_is_connected():
     assert SkewShape([2, 2], [1]).is_connected()
     assert not SkewShape([2, 1], [1]).is_connected()
     assert SkewShape([1], [1]).is_connected()  # empty shape, by convention
+    assert SkewShape([3, 3, 2], [3, 1]).is_connected()  # empty top row
+    assert not SkewShape([3, 2, 2], [2, 2]).is_connected()  # empty middle row
+    checked = 0
+    for m in range(1, 10):
+        for parts in partitions_of(m):
+            lam = Partition(parts)
+            for mu in subpartitions(lam):
+                shape = SkewShape(lam, mu)
+                assert shape.is_connected() == _edge_connected(shape), shape
+                checked += 1
+    assert checked > 1000
 
 
 def test_parse_and_print():
@@ -183,6 +213,10 @@ def test_parse_errors():
         parse_shape("3,4/1")
     with pytest.raises(ShapeParseError, match="row 1"):
         parse_shape("2,1/3")
+    with pytest.raises(ShapeParseError, match="inner not contained in outer at row 3"):
+        parse_shape("4,4,2/3,3,3")
+    with pytest.raises(ValueError, match="row 3"):
+        SkewShape([3, 1], [1, 1, 1])
     with pytest.raises(ShapeParseError):
         parse_shape("nonsense:k=1")
     with pytest.raises(ShapeParseError):
