@@ -6,6 +6,9 @@ This is the only module that touches floating point.  Exact inequalities are
 always checked in integer/fraction arithmetic first; floats only enter when a
 quantity is reported on the log scale.  Quadrature error is controlled by a
 half-resolution refinement check.
+
+numpy is imported inside the quadrature code, never at module level, so that
+``import skewtab`` and every subcommand but ``integrate`` start without it.
 """
 
 from __future__ import annotations
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, log, sqrt
-
-import numpy as np
 
 from .exact import (
     FACTORIAL_KINDS,
@@ -153,7 +154,6 @@ class _Boundary:
         segs = [
             (x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:]) if x1 > x0
         ]
-        self._seg_r = np.array([s[2] for s in segs])
         self._segs = segs
         # strictly decreasing pieces, reversed: the graph of the inverse
         inv = [
@@ -163,13 +163,28 @@ class _Boundary:
         ]
         inv.reverse()  # ascending in y
         self._inv = inv
-        self._inv_r = np.array([s[2] for s in inv])
+
+    @staticmethod
+    def _piece_index(knots, v):
+        """Number of knots strictly below each v (searchsorted, side="left").
+
+        A boundary has a handful of knots, so one comparison per knot over the
+        whole array beats a binary search per element.
+        """
+        import numpy as np
+
+        idx = np.zeros(v.shape, dtype=np.intp)
+        for _, _, r, _ in knots:
+            idx += r < v
+        return idx
 
     def __call__(self, x):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if not self._segs:
             return np.full_like(x, self.y_max)
-        idx = np.clip(np.searchsorted(self._seg_r, x, side="left"), 0, len(self._segs) - 1)
+        idx = np.minimum(self._piece_index(self._segs, x), len(self._segs) - 1)
         out = np.empty_like(x)
         for i, (x0, y0, x1, y1) in enumerate(self._segs):
             m = idx == i
@@ -184,11 +199,13 @@ class _Boundary:
         Rows at or below the curve's final height run to the end of the
         domain.  Callers only query heights inside the region.
         """
+        import numpy as np
+
         y = np.asarray(y, dtype=float)
         out = np.full_like(y, self.x_max)
         if not self._inv:
             return out
-        idx = np.searchsorted(self._inv_r, y, side="left")
+        idx = self._piece_index(self._inv, y)
         below = y <= self._inv[0][0]
         for i, (ylo, xlo, yhi, xhi) in enumerate(self._inv):
             m = (idx == i) & ~below
@@ -213,6 +230,8 @@ class StableShape:
             self.inner.x_max - self.outer.x_max
         ) > 1e-12:
             raise ValueError("inner and outer boundaries need the same x-domain")
+        import numpy as np
+
         xs = np.linspace(self.outer.x_min, self.outer.x_max, 513)[1:-1]
         if np.any(self.inner(xs) > self.outer(xs) + 1e-9):
             raise ValueError("inner boundary exceeds outer boundary")
@@ -240,24 +259,38 @@ class StableShape:
         return cls([(0.0, 2 * s), (s, 2 * s), (s, s), (2 * s, s)])
 
 
+_QUAD_BLOCK = 1 << 14  # grid cells per vectorised block of columns
+
+
 def _hook_integral_at(shape: StableShape, grid: int) -> float:
+    """Midpoint rule on grid columns, each cut into grid cells of its own height.
+
+    Columns are evaluated a block at a time, but each column's cells are still
+    summed as one row and added to the total in column order, so the result
+    does not depend on the block size.
+    """
+    import numpy as np
+
     outer, inner = shape.outer, shape.inner
     a0, a1 = outer.x_min, outer.x_max
     dx = (a1 - a0) / grid
-    xs = a0 + dx * (np.arange(grid) + 0.5)
+    mids = np.arange(grid) + 0.5
+    xs = a0 + dx * mids
     tops = outer(xs)
     bots = inner(xs)
+    heights = tops - bots
+    dys = heights / grid
+    cols = np.flatnonzero(heights > 0)
+    step = max(1, _QUAD_BLOCK // grid)
     total = 0.0
-    for x, top, bot in zip(xs, tops, bots):
-        height = top - bot
-        if height <= 0:
-            continue
-        dy = height / grid
-        ys = bot + dy * (np.arange(grid) + 0.5)
-        arms = outer.inverse(ys) - x
-        legs = top - ys
-        vals = np.log(arms + legs)
-        total += float(vals.sum()) * dx * dy
+    for start in range(0, len(cols), step):
+        c = cols[start:start + step]
+        ys = bots[c, None] + dys[c, None] * mids
+        arms = outer.inverse(ys) - xs[c, None]
+        legs = tops[c, None] - ys
+        sums = np.log(arms + legs).sum(axis=1)
+        for v, dy in zip(sums, dys[c]):
+            total += float(v) * dx * dy
     return total
 
 
@@ -281,6 +314,8 @@ def hook_integral(shape: StableShape, grid: int = 512, refine_tol: float = 1e-3)
 
 def unit_box_log_integral(shift: float, grid: int = 512) -> float:
     """Midpoint quadrature of log(shift + x + y) over the unit square."""
+    import numpy as np
+
     dx = 1.0 / grid
     mids = dx * (np.arange(grid) + 0.5)
     vals = np.log(shift + mids[:, None] + mids[None, :])

@@ -28,6 +28,9 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
+        if isinstance(parts, Partition):  # immutable and already validated
+            self.parts = parts.parts
+            return
         parts = tuple(int(p) for p in parts)
         for i in range(len(parts)):
             if parts[i] < 0:

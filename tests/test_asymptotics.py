@@ -1,9 +1,13 @@
 from math import log, sqrt
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewtab.asymptotics import (
     StableShape,
+    _hook_integral_at,
     TvkData,
     band_constants,
     corner_constants,
@@ -153,6 +157,107 @@ def test_hook_integral_errors():
         StableShape([(0.0, 1.0), (1.0, 1.0)], [(0.0, 2.0), (1.0, 2.0)])
     with pytest.raises(ArithmeticError):  # refinement guard fires on absurd tolerance
         hook_integral(StableShape.unit_square(), 128, refine_tol=1e-15)
+
+
+# reference quadrature: one column at a time, pieces found by binary search
+
+
+def _reference_call(b, x):
+    if not b._segs:
+        return np.full_like(x, b.y_max)
+    knots = np.array([s[2] for s in b._segs])
+    idx = np.clip(np.searchsorted(knots, x, side="left"), 0, len(b._segs) - 1)
+    out = np.empty_like(x)
+    for i, (x0, y0, x1, y1) in enumerate(b._segs):
+        m = idx == i
+        if np.any(m):
+            t = (x[m] - x0) / (x1 - x0)
+            out[m] = y0 + t * (y1 - y0)
+    return out
+
+
+def _reference_inverse(b, y):
+    out = np.full_like(y, b.x_max)
+    if not b._inv:
+        return out
+    idx = np.searchsorted(np.array([s[2] for s in b._inv]), y, side="left")
+    below = y <= b._inv[0][0]
+    for i, (ylo, xlo, yhi, xhi) in enumerate(b._inv):
+        m = (idx == i) & ~below
+        if np.any(m):
+            t = (y[m] - ylo) / (yhi - ylo)
+            out[m] = xlo + t * (xhi - xlo)
+    return out
+
+
+def _reference_hook_integral_at(shape, grid):
+    outer, inner = shape.outer, shape.inner
+    a0, a1 = outer.x_min, outer.x_max
+    dx = (a1 - a0) / grid
+    xs = a0 + dx * (np.arange(grid) + 0.5)
+    tops = _reference_call(outer, xs)
+    bots = _reference_call(inner, xs)
+    total = 0.0
+    for x, top, bot in zip(xs, tops, bots):
+        height = top - bot
+        if height <= 0:
+            continue
+        dy = height / grid
+        ys = bot + dy * (np.arange(grid) + 0.5)
+        arms = _reference_inverse(outer, ys) - x
+        legs = top - ys
+        vals = np.log(arms + legs)
+        total += float(vals.sum()) * dx * dy
+    return total
+
+
+_EXACT_GRIDS = (64, 100, 1000, 2048)  # at 1000 the last block of columns is partial
+
+
+def _zero_height_shape():
+    # columns right of x = 0.5 have zero height and contribute nothing
+    return StableShape(
+        [[0, 1], [0.5, 1], [0.5, 0.2], [1, 0.2]],
+        [[0, 0.5], [0.5, 0.5], [0.5, 0.2], [1, 0.2]],
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [StableShape.unit_square, StableShape.inverted_thick_hook, StableShape.thick_l,
+     _zero_height_shape],
+)
+def test_block_quadrature_matches_reference_exactly(make):
+    shape = make()
+    for grid in _EXACT_GRIDS:
+        assert _hook_integral_at(shape, grid) == _reference_hook_integral_at(shape, grid)
+
+
+def test_zero_height_columns_value():
+    assert f"{hook_integral(_zero_height_shape(), 512):.12f}" == "-0.201711802482"
+
+
+@st.composite
+def staircase_shapes(draw):
+    """A weakly decreasing staircase on [0, 1], optionally over a lower copy."""
+    unit = st.floats(0.05, 0.95)
+    k = draw(st.integers(2, 5))
+    xs = sorted(draw(st.lists(unit, min_size=k - 1, max_size=k - 1)))
+    ys = sorted(draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k)), reverse=True)
+    pts = [[0.0, ys[0]]]
+    for x, y in zip(xs, ys[1:]):
+        pts += [[x, pts[-1][1]], [x, y]]
+    pts.append([1.0, ys[-1]])
+    scale = draw(st.sampled_from([None, 0.0, 0.3, 0.75]))
+    inner = None if scale is None else [[x, scale * y] for x, y in pts]
+    return StableShape(pts, inner)
+
+
+@settings(max_examples=15, deadline=None)
+@given(staircase_shapes())
+def test_block_quadrature_matches_reference_on_staircases(shape):
+    for grid in _EXACT_GRIDS[:3]:
+        assert _hook_integral_at(shape, grid) == _reference_hook_integral_at(shape, grid)
 
 
 def test_tvk_constant():

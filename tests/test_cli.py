@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import skewtab
 from skewtab import cli, verify
 from skewtab.shapes import SkewShape
 from skewtab.verify import SweepResult
@@ -105,6 +110,13 @@ def test_integrate_inline(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(float(doc["integral"]) + 0.1137) < 1e-3
+    # the README command, pinned to the exact digits it prints
+    code, out, _ = run_cli(
+        capsys, "integrate", '{"outer": [[0, 1], [1, 1]]}', "--grid", "512"
+    )
+    assert code == 0
+    assert '"integral": "-0.113703245084"' in out
+    assert abs(float(json.loads(out)["integral"]) + 0.1137) < 1e-3
 
 
 def test_integrate_file(tmp_path, capsys):
@@ -287,3 +299,26 @@ def test_verify_failure_exit(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "verify", "--groups", "oracles")
     assert code == 1
     assert "injected" in out
+
+
+def test_numpy_loaded_only_by_quadrature():
+    # a fresh interpreter: other tests have already loaded numpy into this one
+    script = "\n".join([
+        "import sys, skewtab, skewtab.cli",
+        "skewtab.cli.main(['count', '4,3,2/2,1'])",
+        "assert 'numpy' not in sys.modules, 'numpy loaded without quadrature'",
+        "from skewtab import StableShape, hook_integral, unit_box_log_integral",
+        "assert 'numpy' not in sys.modules, 'numpy loaded by a name import'",
+        "import skewtab.asymptotics as asy",
+        "assert asy.StableShape is StableShape and asy.hook_integral is hook_integral",
+        "assert abs(hook_integral(asy.StableShape.unit_square(), 128) + 0.1137) < 1e-3",
+        "assert abs(unit_box_log_integral(0.0, 128) + 0.1137) < 1e-3",
+        "assert 'numpy' in sys.modules",
+    ])
+    src = str(Path(skewtab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["e"] == "61"

@@ -29,10 +29,16 @@ def test_partition_validation():
     assert Partition([4, 4, 3, 2]).parts == (4, 4, 3, 2)
     assert Partition([3, 2, 0, 0]).parts == (3, 2)
     assert Partition().parts == ()
+    assert Partition(Partition([3, 1])).parts == (3, 1)
+    assert Partition(Partition([3, 1, 0])) == Partition([3, 1])
     with pytest.raises(ValueError, match="index 2"):
         Partition([3, 4])
+    with pytest.raises(ValueError, match="index 2"):
+        Partition([1, 2])
     with pytest.raises(ValueError):
         Partition([2, -1])
+    with pytest.raises(ValueError, match="index 1"):
+        Partition([-1])
 
 
 def test_conjugate():
