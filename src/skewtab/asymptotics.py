@@ -164,6 +164,11 @@ class _Boundary:
         inv.reverse()  # ascending in y
         self._inv = inv
 
+    def ends(self, u, v):
+        """Values at u and v of the linear piece over (u, v), which holds no knot."""
+        x0, y0, x1, y1 = next(seg for seg in self._segs if u < seg[2])
+        return tuple(y0 + (x - x0) / (x1 - x0) * (y1 - y0) for x in (u, v))
+
     @staticmethod
     def _piece_index(knots, v):
         """Number of knots strictly below each v (searchsorted, side="left").
@@ -230,11 +235,17 @@ class StableShape:
             self.inner.x_max - self.outer.x_max
         ) > 1e-12:
             raise ValueError("inner and outer boundaries need the same x-domain")
-        import numpy as np
-
-        xs = np.linspace(self.outer.x_min, self.outer.x_max, 513)[1:-1]
-        if np.any(self.inner(xs) > self.outer(xs) + 1e-9):
-            raise ValueError("inner boundary exceeds outer boundary")
+        # Both curves are linear between consecutive knots of either, so
+        # inner <= outer everywhere iff it holds at both ends of each such
+        # interval, taken from inside it (the near side of a vertical jump).
+        lo = max(self.inner.x_min, self.outer.x_min)
+        hi = min(self.inner.x_max, self.outer.x_max)
+        knots = {x for x, _ in self.outer.points + self.inner.points if lo < x < hi}
+        knots = sorted(knots | {lo, hi})
+        for u, v in zip(knots, knots[1:]):
+            (iu, iv), (ou, ov) = self.inner.ends(u, v), self.outer.ends(u, v)
+            if iu > ou + 1e-9 or iv > ov + 1e-9:
+                raise ValueError("inner boundary exceeds outer boundary")
 
     def area(self) -> float:
         return self.outer.integral() - self.inner.integral()

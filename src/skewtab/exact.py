@@ -153,6 +153,12 @@ def jacobi_trudi_count(shape: SkewShape) -> int:
     elimination works on small integers.  Since e(outer/inner) equals the
     count of the conjugate shape, the determinant is taken on whichever side
     has fewer rows: the matrix dimension is min(l(outer), outer_1).
+
+    a and b are listed in increasing order (i, j = l, ..., 1), which turns
+    the matrix by 180 degrees and leaves its determinant unchanged.  Bareiss
+    elimination then starts from the small corner C(a_l, b_l), so its
+    leading minors, which it carries as entries, grow gradually instead of
+    being large from the first step.
     """
     lam, mu = shape.outer, shape.inner
     if lam.part(1) < len(lam):
@@ -160,8 +166,8 @@ def jacobi_trudi_count(shape: SkewShape) -> int:
     ell = len(lam)
     if ell == 0:
         return 1
-    a = [lam.part(i) - i + ell for i in range(1, ell + 1)]
-    b = [mu.part(j) - j + ell for j in range(1, ell + 1)]
+    a = [lam.part(i) - i + ell for i in range(ell, 0, -1)]
+    b = [mu.part(j) - j + ell for j in range(ell, 0, -1)]
     det = _bareiss_det([[comb(ai, bj) for bj in b] for ai in a])
     num = factorial(shape.size) * det
     for bj in b:

@@ -94,8 +94,8 @@ class Partition:
         """Hook length of cell (i, j): arm + leg + 1."""
         if (i, j) not in self:
             raise ValueError(f"cell ({i}, {j}) outside the diagram")
-        conj = self.conjugate()
-        return self.part(i) - i + conj.part(j) - j + 1
+        leg = sum(1 for p in self.parts[i:] if p >= j)
+        return self.part(i) - j + leg + 1
 
     def hooks(self) -> dict[Cell, int]:
         """Hook lengths of every cell, as a dict."""

@@ -149,15 +149,23 @@ _THICK_RIBBON_CK = {
     20: -0.219364,
     22: -0.216614,
     24: -0.214264,
+    26: -0.212231,
+    28: -0.210457,
+    30: -0.208894,
+    32: -0.207508,
+    34: -0.206269,
+    36: -0.205156,
+    38: -0.204151,
+    40: -0.203238,
 }
 
 
 def test_thick_ribbon_certification():
-    with _timer("thick-ribbon finite certification (k <= 24)", budget=120.0):
+    with _timer("thick-ribbon finite certification (k <= 40)", budget=120.0):
         band = band_constants("thick-ribbon")
         assert round(band.lower, 4) == -0.3237
         assert round(band.upper, 4) == -0.0621
-        for k in range(2, 25, 2):
+        for k in range(2, 41, 2):
             shape = thick_ribbon(k)
             n = shape.size
             assert n == k * (3 * k - 1) // 2

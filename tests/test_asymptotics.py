@@ -159,6 +159,19 @@ def test_hook_integral_errors():
         hook_integral(StableShape.unit_square(), 128, refine_tol=1e-15)
 
 
+def test_containment_is_checked_between_samples():
+    outer = [[0, 1], [0.5001, 1], [0.5001, 0.2], [1, 0.2]]
+    with pytest.raises(ValueError, match="exceeds outer"):  # a sliver 1e-4 wide
+        StableShape(outer, [[0, 0.3], [0.5002, 0.3], [0.5002, 0], [1, 0]])
+    with pytest.raises(ValueError, match="exceeds outer"):  # at a knot of the outer only
+        StableShape([[0, 1], [0.5, 0.3 - 1e-6], [1, 0]], [[0, 0.6], [1, 0]])
+    # touching the outer boundary, jumps included, is allowed
+    StableShape(outer, [[0, 0.3], [0.5001, 0.3], [0.5001, 0], [1, 0]])
+    StableShape(outer, [[0, 1], [0.5001, 1], [0.5001, 0.2], [1, 0.2]])
+    StableShape([[0, 1], [0.5, 0.3], [1, 0]], [[0, 0.6], [1, 0]])
+    StableShape(outer, [[0, 0.3], [0.5, 0.3], [0.5, 0], [1, 0]])
+
+
 # reference quadrature: one column at a time, pieces found by binary search
 
 

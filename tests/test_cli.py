@@ -136,6 +136,10 @@ def test_integrate_bad_specs(tmp_path, capsys):
         (['{"outer": [[0,NaN],[1,1]]}', "--grid", "64"], "finite"),
         (['{"outer": [[0,1],[Infinity,1]]}'], "finite"),
         (['{"outer": [[0,1],[1,1]], "inner": [[0,-Infinity],[1,0]]}'], "finite"),
+        # the inner boundary pokes above the outer on (0.5001, 0.5002) only
+        (['{"outer": [[0,1],[0.5001,1],[0.5001,0.2],[1,0.2]], '
+          '"inner": [[0,0.3],[0.5002,0.3],[0.5002,0],[1,0]]}', "--grid", "512"],
+         "exceeds outer"),
     ]
     for argv, named in cases:
         code, out, err = run_cli(capsys, "integrate", *argv)

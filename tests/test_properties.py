@@ -1,10 +1,10 @@
 """Property tests on random skew shapes, beyond the exhaustive small corpus."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewtab.bounds import upper_ideal_sizes
-from skewtab.exact import brute_force_count, jacobi_trudi_count, naive_hlf
+from skewtab.exact import _bareiss_det, brute_force_count, jacobi_trudi_count, naive_hlf
 from skewtab.excited import nhlf_count, xi_determinant, xi_path_count
 from skewtab.shapes import SkewShape, parse_shape, shape_text
 
@@ -86,3 +86,38 @@ def test_upper_ideal_sizes_definition(shape):
     cells = shape.cells()
     direct = {c: sum(d.row >= c.row and d.col >= c.col for d in cells) for c in cells}
     assert upper_ideal_sizes(shape) == direct
+
+
+def _cofactor_det(mat):
+    """Determinant by expansion along the first row."""
+    if not mat:
+        return 1
+    return sum(
+        (-1) ** j * x * _cofactor_det([row[:j] + row[j + 1 :] for row in mat[1:]])
+        for j, x in enumerate(mat[0])
+        if x
+    )
+
+
+# mostly zeros, so that pivots vanish: Bareiss must swap rows or stop early
+_sparse_matrices = st.integers(0, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_matrices)
+@example([[0, 1], [1, 0]])  # one row swap
+@example([[0, 1, 2], [0, 3, 4], [5, 6, 7]])  # swap from below the next row
+@example([[0, 1], [0, 2]])  # zero column: stops at the first pivot
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])  # second pivot vanishes for good
+def test_bareiss_matches_cofactor_expansion(mat):
+    det = _bareiss_det(mat)
+    assert det == _cofactor_det(mat)
+    # turning the matrix by 180 degrees keeps the determinant, sign included;
+    # jacobi_trudi_count relies on this to start from its small corner
+    assert det == _bareiss_det([row[::-1] for row in mat[::-1]])

@@ -64,6 +64,14 @@ def test_hooks_two_ways():
             assert h == _hook_by_scan(lam, i, j)
 
 
+def test_hook_matches_hooks():
+    for n in range(11):
+        for parts in partitions_of(n):
+            lam = Partition(parts)
+            for (i, j), h in lam.hooks().items():
+                assert lam.hook(i, j) == h
+
+
 def test_hook_examples():
     lam = Partition([4, 4, 3, 2])
     assert lam.hook(2, 2) == 5  # the unique hook of size 5 in the skew cells
