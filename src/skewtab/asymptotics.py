@@ -17,12 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, log, sqrt
 
+from .bounds import main_sandwich
 from .exact import (
     FACTORIAL_KINDS,
     jacobi_trudi_count,
     naive_hlf,
 )
-from .excited import xi_determinant
 from .shapes import Partition, ShapeFamily, SkewShape
 
 
@@ -489,9 +489,9 @@ def family_row(kind: str, k: int, **extra) -> FamilyRow:
     shape = ShapeFamily(kind, **params).build()
     n = shape.size
     e = jacobi_trudi_count(shape)
-    F = naive_hlf(shape)
-    xi = xi_determinant(shape)
-    verdict = F <= e <= xi * F
+    F, xi_F = main_sandwich(shape)
+    xi = int(xi_F / F)  # exact: xi_F is the integer xi times F
+    verdict = F <= e <= xi_F
     return FamilyRow(
         family=kind,
         k=k,

@@ -24,13 +24,9 @@ def antidiagonal_chains(shape: SkewShape) -> "ChainDecomposition":
     is valid for every skew shape; it is not claimed optimal.
     """
     groups: dict[int, list[Cell]] = {}
-    for i, j in shape.cells():
-        d = j - i
-        # group key: the even member of the pair {2m, 2m+1}
-        key = d if d % 2 == 0 else d - 1
-        groups.setdefault(key, []).append(Cell(i, j))
-    chains = [tuple(sorted(cells)) for cells in groups.values()]
-    chains.sort(key=lambda c: (-len(c), c[0]))
+    for c in shape.cells():  # reading order, so every group comes out sorted
+        groups.setdefault((c.col - c.row) // 2, []).append(c)
+    chains = sorted(map(tuple, groups.values()), key=lambda c: (-len(c), c[0]))
     return ChainDecomposition(tuple(chains))
 
 
@@ -67,10 +63,14 @@ def _validate_chains(shape: SkewShape, decomposition: ChainDecomposition) -> Non
         for a, b in zip(cells, cells[1:]):
             if not (a.row <= b.row and a.col <= b.col):
                 raise ValueError(f"cells {a} and {b} are incomparable within a chain")
-        if seen.intersection(cells):
+        if not seen.isdisjoint(cells):
             raise ValueError("chains overlap")
         seen.update(cells)
-    if seen != set(shape.cells()):
+    # as many distinct cells as the shape has, each inside a row's interval
+    rows = shape.row_bounds()
+    if len(seen) != shape.size or not all(
+        0 < i <= len(rows) and rows[i - 1][0] < j <= rows[i - 1][1] for i, j in seen
+    ):
         raise ValueError("chains do not cover the shape")
 
 
@@ -101,14 +101,22 @@ def hp_lower(shape: SkewShape, use_dual: bool = True) -> Fraction:
     the 180-degree rotation and the larger value is returned.  With
     use_dual=False the single-orientation value is returned; on ribbon hooks
     that value coincides exactly with the naive hook-length bound.
+
+    The sizes are the suffix sums of `upper_ideal_sizes`, multiplied in row
+    by row as they are produced.  Only the columns of a row's own cells are
+    updated: the cells of the rows above lie right of this row's inner part,
+    so the columns left of it are never read again.
     """
     orientations = (shape, shape.rotate180()) if use_dual else (shape,)
     best = None
     for s in orientations:
-        prod = 1
-        for v in upper_ideal_sizes(s).values():
-            prod *= v
-        q = Fraction(factorial(s.size), prod)
+        below = [0] * (s.outer.part(1) + 1)
+        sizes = 1
+        for lo, hi in reversed(s.row_bounds()):
+            for j in range(lo + 1, hi + 1):
+                below[j] += hi - j + 1
+            sizes *= prod(below[lo + 1 : hi + 1])
+        q = Fraction(factorial(s.size), sizes)
         best = q if best is None else max(best, q)
     return best
 
@@ -177,8 +185,8 @@ def bounds_report(shape: SkewShape, exact: int | None = None) -> BoundsReport:
 
     if exact is None:
         exact = jacobi_trudi_count(shape)
-    F = naive_hlf(shape)
-    xi = xi_determinant(shape)
+    F, xi_F = main_sandwich(shape)
+    xi = int(xi_F / F)  # exact: xi_F is the integer xi times F
     chains = antidiagonal_chains(shape)
     report = BoundsReport(shape=shape, exact=exact, xi=xi, chains=chains)
     report.lower = {
@@ -188,7 +196,7 @@ def bounds_report(shape: SkewShape, exact: int | None = None) -> BoundsReport:
     }
     report.upper = {
         "chain": chain_upper(shape, chains),
-        "xi-times-F": xi * F,
+        "xi-times-F": xi_F,
         "skew-lr": skew_lr_upper(shape),
     }
     for name, bound in report.lower.items():

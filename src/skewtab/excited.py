@@ -44,12 +44,18 @@ def enumerate_excited(
     inner diagram itself.  Both caps are checked before the search starts,
     the number of diagrams by the flag determinant.
     """
-    lam, mu = shape.outer, shape.inner
-    if mu.size > mu_cap:
-        raise CapExceeded(f"excited enumeration needs |inner| <= {mu_cap}, got {mu.size}")
-    if xi_determinant(shape) > xi_cap:
+    if shape.inner.size > mu_cap:
+        raise CapExceeded(f"excited enumeration needs |inner| <= {mu_cap}, got {shape.inner.size}")
+    return _enumerate_excited(shape, xi_determinant(shape), xi_cap)
+
+
+def _enumerate_excited(shape: SkewShape, xi: int, xi_cap: int) -> list[Diagram]:
+    """The search of `enumerate_excited`, given the flag determinant's count
+    xi, which is checked against xi_cap before the search starts."""
+    if xi > xi_cap:
         raise CapExceeded(f"more than {xi_cap} excited diagrams")
-    start = tuple(sorted(mu.cells()))
+    lam = shape.outer
+    start = tuple(sorted(shape.inner.cells()))
     seen = {start}
     order = [start]
     queue = deque([start])
@@ -104,12 +110,11 @@ def is_excited_diagram(shape: SkewShape, diagram) -> bool:
 def row_flags(shape: SkewShape) -> list[int]:
     """Flag of row i: the last row at which the diagonal through the end of
     inner row i is still inside the outer shape."""
-    lam, mu = shape.outer, shape.inner
+    lam = shape.outer.parts
     flags = []
-    for i in range(1, len(mu) + 1):
-        j = mu.part(i)
+    for i, j in enumerate(shape.inner.parts, start=1):
         t = 0
-        while (i + t + 1, j + t + 1) in lam:
+        while i + t < len(lam) and lam[i + t] > j + t:  # (i+t+1, j+t+1) in lam
             t += 1
         flags.append(i + t)
     return flags
@@ -121,10 +126,9 @@ def xi_determinant(shape: SkewShape) -> int:
     ell = len(mu)
     if ell == 0:
         return 1
-    flags = row_flags(shape)
     mat = [
-        [comb(flags[i - 1] + mu.part(i) - i + j - 1, flags[i - 1] - 1) for j in range(1, ell + 1)]
-        for i in range(1, ell + 1)
+        [comb(f + m - i + j - 1, f - 1) for j in range(1, ell + 1)]
+        for i, (f, m) in enumerate(zip(row_flags(shape), mu.parts), start=1)
     ]
     return _bareiss_det(mat)
 
@@ -143,10 +147,15 @@ def nhlf_count(shape: SkewShape) -> int:
     C / h(u), C the lcm of the outer hooks, and every family covers n cells,
     so the integer determinant is C^n times the hook sum.
     """
+    return _nhlf_count(shape, border_strip_decomposition(shape))
+
+
+def _nhlf_count(shape: SkewShape, strips) -> int:
+    """`nhlf_count`, given the shape's border strips."""
     n = shape.size
     hooks = shape.outer.hooks()
     scale = lcm(*hooks.values())
-    det = _path_determinant(shape, {c: scale // h for c, h in hooks.items()})
+    det = _path_determinant(shape.outer, strips, {c: scale // h for c, h in hooks.items()})
     if det <= 0:
         raise ArithmeticError("hook-sum determinant is not positive")
     return _exact_quotient(factorial(n) * det, scale**n, "hook-sum count")
@@ -158,15 +167,19 @@ def xi_path_count(shape: SkewShape) -> int:
 
     Independent of the flag determinant `xi_determinant`.
     """
-    return _path_determinant(shape, dict.fromkeys(shape.outer.cells(), 1))
+    return _xi_path_count(shape, border_strip_decomposition(shape))
 
 
-def _path_determinant(shape: SkewShape, weight) -> int:
+def _xi_path_count(shape: SkewShape, strips) -> int:
+    """`xi_path_count`, given the shape's border strips."""
+    return _path_determinant(shape.outer, strips, dict.fromkeys(shape.outer.cells(), 1))
+
+
+def _path_determinant(lam: Partition, strips, weight) -> int:
     """Lindstrom-Gessel-Viennot: the weighted sum over non-intersecting
-    up/right path families joining each border strip's start to its end."""
-    strips = border_strip_decomposition(shape)
+    up/right path families in lam joining each strip's start to its end."""
     ends = [strip[-1] for strip in strips]
-    return _bareiss_det([_path_sums(shape.outer, weight, strip[0], ends) for strip in strips])
+    return _bareiss_det([_path_sums(lam, weight, strip[0], ends) for strip in strips])
 
 
 def _path_sums(lam: Partition, weight, start: Cell, ends) -> list[int]:

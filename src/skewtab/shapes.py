@@ -8,6 +8,7 @@ j <= j'.  All objects here are immutable values and every function is pure.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, chain, zip_longest
 from math import prod
 from typing import Iterator, NamedTuple
 
@@ -68,12 +69,12 @@ class Partition:
 
     def conjugate(self) -> "Partition":
         """Column lengths: part j of the conjugate is #{i : parts[i] >= j}."""
-        if not self.parts:
-            return Partition()
-        cols = [0] * self.parts[0]
-        for p in self.parts:
-            for j in range(p):
-                cols[j] += 1
+        cols = []
+        rows = len(self.parts)
+        for j in range(1, self.part(1) + 1):
+            while self.parts[rows - 1] < j:
+                rows -= 1
+            cols.append(rows)
         return Partition(cols)
 
     def contains(self, other: "Partition") -> bool:
@@ -98,17 +99,16 @@ class Partition:
         return self.part(i) - j + leg + 1
 
     def hooks(self) -> dict[Cell, int]:
-        """Hook lengths of every cell, as a dict."""
-        conj = self.conjugate()
+        """Hook lengths of every cell, as a dict in reading order."""
         return {
-            Cell(i, j): self.part(i) - i + conj.part(j) - j + 1
-            for i, p in enumerate(self.parts, start=1)
-            for j in range(1, p + 1)
+            Cell(i, j): h
+            for i, row in enumerate(_hook_rows(self), start=1)
+            for j, h in enumerate(row, start=1)
         }
 
     def hook_product(self) -> int:
         """Product of all hook lengths; n! over it counts the standard tableaux."""
-        return prod(self.hooks().values())
+        return prod(map(prod, _hook_rows(self)))
 
     def durfee(self) -> int:
         """Side of the largest square fitting in the diagram."""
@@ -146,6 +146,18 @@ class Partition:
         return cls(parts)
 
 
+def _hook_rows(lam: Partition, inner: tuple[int, ...] = ()) -> Iterator[list[int]]:
+    """Per row i of lam, the hooks in lam of its cells inner_i < j <= lam_i.
+
+    h(i, j) = (lam_i - i + 1) + (lam'_j - j) is a row term plus a column
+    term, so the conjugate lam' is taken once and no cell is looked up.
+    """
+    cols = [c - j for j, c in enumerate(lam.conjugate().parts, start=1)]
+    for i, (lo, p) in enumerate(zip_longest(inner, lam.parts, fillvalue=0), start=1):
+        row = p - i + 1
+        yield [row + c for c in cols[lo:p]]
+
+
 class SkewShape:
     """A skew diagram outer/inner with inner contained in outer."""
 
@@ -154,8 +166,8 @@ class SkewShape:
     def __init__(self, outer, inner=()):
         outer = Partition(outer)
         inner = Partition(inner)
-        for i in range(1, len(inner) + 1):
-            if inner.part(i) > outer.part(i):
+        for i, (m, p) in enumerate(zip_longest(inner.parts, outer.parts, fillvalue=0), start=1):
+            if m > p:
                 raise ValueError(f"inner not contained in outer at row {i}")
         self.outer = outer
         self.inner = inner
@@ -179,10 +191,7 @@ class SkewShape:
 
     def row_bounds(self) -> list[tuple[int, int]]:
         """Per row i the half-open column interval (inner_i, outer_i]."""
-        return [
-            (self.inner.part(i), self.outer.part(i))
-            for i in range(1, len(self.outer) + 1)
-        ]
+        return list(zip_longest(self.inner.parts, self.outer.parts, fillvalue=0))
 
     def cells(self) -> list[Cell]:
         out = []
@@ -198,14 +207,10 @@ class SkewShape:
 
     def hook_multiset(self) -> Counter:
         """Hooks of the skew cells, computed in the outer shape."""
-        hooks = self.outer.hooks()
-        return Counter(hooks[c] for c in self.cells())
+        return Counter(chain.from_iterable(_hook_rows(self.outer, self.inner.parts)))
 
     def hook_product(self) -> int:
-        prod = 1
-        for h, mult in self.hook_multiset().items():
-            prod *= h**mult
-        return prod
+        return prod(map(prod, _hook_rows(self.outer, self.inner.parts)))
 
     def is_connected(self) -> bool:
         """Edge-connectivity of the cell set; the empty shape counts as connected.
@@ -226,13 +231,22 @@ class SkewShape:
         return all(v <= 1 for v in diags.values())
 
     def antidiagonal_ranks(self) -> tuple[int, ...]:
-        """Cell counts per antidiagonal i + j, indexed from the first occupied one."""
-        cells = self.cells()
-        if not cells:
+        """Cell counts per antidiagonal i + j, indexed from the first occupied one.
+
+        Row i covers the antidiagonals i + inner_i + 1 ... i + outer_i, so
+        one difference array over those intervals counts every antidiagonal,
+        the empty ones between occupied ones included.
+        """
+        rows = enumerate(self.row_bounds(), start=1)
+        spans = [(i + lo + 1, i + hi) for i, (lo, hi) in rows if lo < hi]
+        if not spans:
             return ()
-        counts = Counter(i + j for i, j in cells)
-        lo, hi = min(counts), max(counts)
-        return tuple(counts.get(v, 0) for v in range(lo, hi + 1))
+        first = min(a for a, _ in spans)
+        diff = [0] * (max(b for _, b in spans) - first + 2)
+        for a, b in spans:
+            diff[a - first] += 1
+            diff[b - first + 1] -= 1
+        return tuple(accumulate(diff[:-1]))
 
     def width_depth(self) -> tuple[int, int]:
         """(min of first row/column of the outer shape, max skew hook)."""

@@ -11,14 +11,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .bounds import bounds_report
-from .exact import brute_force_count, jacobi_trudi_count
+from .errors import CapExceeded
+from .exact import DEFAULT_BRUTE_CAP, brute_force_count, jacobi_trudi_count
 from .excited import (
     DEFAULT_MU_CAP,
-    enumerate_excited,
-    nhlf_count,
+    DEFAULT_XI_CAP,
+    _enumerate_excited,
+    _nhlf_count,
+    _xi_path_count,
+    border_strip_decomposition,
     xi_bounds,
     xi_determinant,
-    xi_path_count,
 )
 from .shapes import Partition, SkewShape, partitions_of, shape_text, subpartitions
 
@@ -51,27 +54,41 @@ class SweepResult:
 def oracle_sweep(max_size: int = 8, progress: Callable | None = None) -> SweepResult:
     """Counting routes must agree: determinant = brute force = hook sum, and
     the flag determinant of xi must match the path count and, within the
-    enumeration's inner-size cap, the enumeration."""
+    enumeration's inner-size cap, the enumeration.
+
+    The brute-force cap is checked before the first shape; each shape's
+    border strips serve both path determinants, and its flag determinant
+    serves the enumeration's cap check too."""
+    _check_brute_cap(max_size)
     checked = 0
     failures = []
     for shape in skew_shapes(max_size):
         checked += 1
         jt = jacobi_trudi_count(shape)
         bf = brute_force_count(shape)
-        nh = nhlf_count(shape)
+        strips = border_strip_decomposition(shape)
+        nh = _nhlf_count(shape, strips)
         xd = xi_determinant(shape)
-        xp = xi_path_count(shape)
+        xp = _xi_path_count(shape, strips)
         if not (jt == bf == nh):
             failures.append(f"{shape_text(shape)}: counts disagree jt={jt} bf={bf} nhlf={nh}")
         if xd != xp:
             failures.append(f"{shape_text(shape)}: xi det={xd} paths={xp}")
         if shape.inner.size <= DEFAULT_MU_CAP:
-            xe = len(enumerate_excited(shape))
+            xe = len(_enumerate_excited(shape, xd, DEFAULT_XI_CAP))
             if xd != xe:
                 failures.append(f"{shape_text(shape)}: xi det={xd} enum={xe}")
         if progress:
             progress(checked)
     return SweepResult("oracles", checked, failures)
+
+
+def _check_brute_cap(max_size: int) -> None:
+    if max_size > DEFAULT_BRUTE_CAP:
+        raise CapExceeded(
+            f"brute-force count needs n <= {DEFAULT_BRUTE_CAP}; "
+            f"the oracle sweep reaches n = {max_size}"
+        )
 
 
 def bounds_sweep(max_size: int = 8, progress: Callable | None = None) -> SweepResult:
@@ -99,9 +116,10 @@ SWEEP_GROUPS = {
 
 
 def run_suite(max_size: int = 8, groups=("oracles", "bounds")) -> list[SweepResult]:
-    results = []
+    """Run the named sweeps in order; names and caps are checked before any group runs."""
     for name in groups:
         if name not in SWEEP_GROUPS:
             raise ValueError(f"unknown verify group '{name}'")
-        results.append(SWEEP_GROUPS[name](max_size))
-    return results
+    if "oracles" in groups:
+        _check_brute_cap(max_size)
+    return [SWEEP_GROUPS[name](max_size) for name in groups]

@@ -24,6 +24,7 @@ from skewtab.asymptotics import (
     unit_box_log_integral,
 )
 from skewtab.exact import euler_number, jacobi_trudi_count, naive_hlf
+from skewtab.excited import proctor_xi
 from skewtab.shapes import SkewShape, column_ribbon, square_shape, thick_ribbon
 
 
@@ -339,9 +340,10 @@ def test_ribbon_rho_terms():
 
 
 def test_family_rows():
-    rows = family_report("thick-ribbon", [2, 4])
-    assert [r.n for r in rows] == [5, 22]
+    rows = family_report("thick-ribbon", [2, 4, 8])
+    assert [r.n for r in rows] == [5, 22, 92]
     assert all(r.verdict for r in rows)
+    assert rows[2].log_xi == pytest.approx(log(proctor_xi(8)))
     row = family_row("square", 3)
     assert row.n == 9
     assert row.log_e == pytest.approx(log(42))

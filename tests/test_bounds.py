@@ -17,6 +17,7 @@ from skewtab.bounds import (
     upper_ideal_sizes,
 )
 from skewtab.exact import naive_hlf
+from skewtab.excited import xi_determinant
 from skewtab.shapes import Cell, SkewShape, square_shape, thick_ribbon, zigzag
 
 GOLDEN = SkewShape([4, 4, 3, 2], [2, 1])
@@ -52,6 +53,12 @@ def test_chain_validation():
     bad = ChainDecomposition(((Cell(1, 3), Cell(1, 4)), (Cell(1, 3),)))
     with pytest.raises(ValueError, match="overlap"):
         chain_upper(GOLDEN, bad)
+    # as many cells as the shape, one of them outside it: inside the inner
+    # shape, in a row past the last, or past the end of its row
+    for outside in (Cell(1, 1), Cell(5, 1), Cell(2, 5), Cell(0, 3)):
+        stray = ChainDecomposition(((outside,),) + tuple((c,) for c in cells[1:]))
+        with pytest.raises(ValueError, match="cover"):
+            chain_upper(GOLDEN, stray)
     incomparable = ChainDecomposition((tuple(sorted(cells)),))
     with pytest.raises(ValueError, match="incomparable"):
         chain_upper(GOLDEN, incomparable)
@@ -151,5 +158,8 @@ def test_bounds_report_golden():
 
 
 def test_bounds_report_families():
-    for shape in (SkewShape([3, 2]), thick_ribbon(3), zigzag(3), square_shape(3)):
-        assert bounds_report(shape).all_verdicts_hold
+    for shape in (SkewShape([3, 2]), thick_ribbon(3), zigzag(3), square_shape(3), thick_ribbon(8)):
+        report = bounds_report(shape)
+        assert report.all_verdicts_hold
+        # xi is read off main_sandwich's xi * F
+        assert report.xi == xi_determinant(shape)

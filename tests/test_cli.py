@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import skewtab
-from skewtab import cli, verify
+from skewtab import cli, excited, verify
 from skewtab.shapes import SkewShape
 from skewtab.verify import SweepResult
 
@@ -293,6 +294,35 @@ def test_verify_beyond_enumeration_cap(monkeypatch):
     monkeypatch.setattr(verify, "skew_shapes", lambda max_size: iter([shape]))
     result = verify.oracle_sweep(14)
     assert (result.checked, result.failures) == (1, [])
+
+
+def test_verify_brute_cap_before_sweeping(monkeypatch, capsys):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept shapes before checking the brute-force cap")
+
+    monkeypatch.setattr(verify, "skew_shapes", no_sweep)
+    for groups in ("oracles,bounds", "bounds,oracles"):
+        code, out, err = run_cli(capsys, "verify", "--max-size", "25", "--groups", groups)
+        assert (code, out) == (3, "")
+        assert "brute-force count needs n <= 24" in err
+
+
+def test_oracle_sweep_shares_strips_and_xi(monkeypatch):
+    # one border-strip walk and one flag determinant per shape, shared by
+    # both path determinants and by the enumeration's cap check
+    calls = Counter()
+    for name in ("border_strip_decomposition", "xi_determinant"):
+        real = getattr(excited, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        for module in (excited, verify):
+            monkeypatch.setattr(module, name, counted)
+    result = verify.oracle_sweep(6)
+    assert result.failures == []
+    assert calls == {"border_strip_decomposition": result.checked, "xi_determinant": result.checked}
 
 
 def test_verify_failure_exit(monkeypatch, capsys):

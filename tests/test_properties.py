@@ -1,12 +1,17 @@
 """Property tests on random skew shapes, beyond the exhaustive small corpus."""
 
+from collections import Counter
+from fractions import Fraction
+from math import factorial, prod
+
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skewtab.bounds import upper_ideal_sizes
+from skewtab.bounds import hp_lower, upper_ideal_sizes
 from skewtab.exact import _bareiss_det, brute_force_count, jacobi_trudi_count, naive_hlf
 from skewtab.excited import nhlf_count, xi_determinant, xi_path_count
-from skewtab.shapes import SkewShape, parse_shape, shape_text
+from skewtab.shapes import Partition, SkewShape, parse_shape, shape_text
 
 
 @st.composite
@@ -86,6 +91,93 @@ def test_upper_ideal_sizes_definition(shape):
     cells = shape.cells()
     direct = {c: sum(d.row >= c.row and d.col >= c.col for d in cells) for c in cells}
     assert upper_ideal_sizes(shape) == direct
+
+
+# The shape kernels work on row lengths; each test below compares one with
+# its per-cell definition.  Disconnected shapes, empty rows and the empty
+# shape are all in range.
+
+_partitions = st.lists(st.integers(1, 12), max_size=12).map(
+    lambda parts: Partition(sorted(parts, reverse=True))
+)
+_EDGE_SHAPES = (
+    SkewShape(()),  # empty
+    SkewShape([3], [3]),  # one empty row
+    SkewShape([4, 2, 2], [2, 2]),  # empty middle row, disconnected
+    SkewShape([5, 5, 1], [4, 1]),  # rows sharing no column
+)
+
+
+def _with_edge_shapes(test):
+    for shape in _EDGE_SHAPES:
+        test = example(shape)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(_partitions)
+@example(Partition())
+def test_hooks_match_hook_per_cell(lam):
+    cells = list(lam.cells())  # reading order
+    hooks = lam.hooks()
+    assert list(hooks) == cells
+    assert hooks == {c: lam.hook(*c) for c in cells}
+    assert lam.hook_product() == prod(lam.hook(*c) for c in cells)
+    columns = range(1, lam.part(1) + 1)
+    assert lam.conjugate().parts == tuple(sum(p >= j for p in lam) for j in columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_partitions, _partitions)
+@example(Partition(), Partition())
+@example(Partition([2]), Partition([1, 1]))  # more rows than outer
+def test_containment_check_per_row(lam, mu):
+    bad = [i for i in range(1, len(mu) + 1) if mu.part(i) > lam.part(i)]
+    if bad:
+        with pytest.raises(ValueError, match=f"at row {bad[0]}$"):
+            SkewShape(lam, mu)
+    else:
+        shape = SkewShape(lam, mu)
+        assert shape.row_bounds() == [(mu.part(i), lam.part(i)) for i in range(1, len(lam) + 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+@_with_edge_shapes
+def test_cells_match_membership(shape):
+    rows, width = len(shape.outer), shape.outer.part(1)
+    box = [(i, j) for i in range(rows + 2) for j in range(width + 2)]
+    assert shape.cells() == [c for c in box if c in shape]
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+@_with_edge_shapes
+def test_hook_multiset_per_cell(shape):
+    per_cell = Counter(shape.outer.hook(i, j) for i, j in shape.cells())
+    multiset = shape.hook_multiset()
+    assert multiset == per_cell and list(multiset) == list(per_cell)
+    assert shape.hook_product() == prod(per_cell.elements())
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+@_with_edge_shapes
+def test_antidiagonal_ranks_per_cell(shape):
+    counts = Counter(i + j for i, j in shape.cells())
+    span = range(min(counts), max(counts) + 1) if counts else ()
+    assert shape.antidiagonal_ranks() == tuple(counts[a] for a in span)  # gaps count 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+@_with_edge_shapes
+def test_hp_lower_is_the_upper_ideal_product(shape):
+    def hp(s):
+        return Fraction(factorial(s.size), prod(upper_ideal_sizes(s).values()))
+
+    assert hp_lower(shape, use_dual=False) == hp(shape)
+    assert hp_lower(shape) == max(hp(shape), hp(shape.rotate180()))
 
 
 def _cofactor_det(mat):
