@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, log, sqrt
 
-from .bounds import main_sandwich
+from .bounds import _hlf_and_xi
 from .exact import (
     FACTORIAL_KINDS,
     jacobi_trudi_count,
@@ -489,9 +489,8 @@ def family_row(kind: str, k: int, **extra) -> FamilyRow:
     shape = ShapeFamily(kind, **params).build()
     n = shape.size
     e = jacobi_trudi_count(shape)
-    F, xi_F = main_sandwich(shape)
-    xi = int(xi_F / F)  # exact: xi_F is the integer xi times F
-    verdict = F <= e <= xi_F
+    F, xi = _hlf_and_xi(shape)
+    verdict = F <= e <= xi * F
     return FamilyRow(
         family=kind,
         k=k,

@@ -128,8 +128,14 @@ def skew_lr_upper(shape: SkewShape) -> Fraction:
 
 def main_sandwich(shape: SkewShape) -> tuple[Fraction, Fraction]:
     """(F, xi * F): the naive hook-length value and its excited-count multiple."""
-    F = naive_hlf(shape)
-    return F, xi_determinant(shape) * F
+    F, xi = _hlf_and_xi(shape)
+    return F, xi * F
+
+
+def _hlf_and_xi(shape: SkewShape) -> tuple[Fraction, int]:
+    """(F, xi): the naive hook-length value and the number of excited diagrams,
+    the two factors of the sandwich F <= e <= xi * F."""
+    return naive_hlf(shape), xi_determinant(shape)
 
 
 def compare_check(shape: SkewShape) -> bool | None:
@@ -185,8 +191,8 @@ def bounds_report(shape: SkewShape, exact: int | None = None) -> BoundsReport:
 
     if exact is None:
         exact = jacobi_trudi_count(shape)
-    F, xi_F = main_sandwich(shape)
-    xi = int(xi_F / F)  # exact: xi_F is the integer xi times F
+    F, xi = _hlf_and_xi(shape)
+    xi_F = xi * F
     chains = antidiagonal_chains(shape)
     report = BoundsReport(shape=shape, exact=exact, xi=xi, chains=chains)
     report.lower = {

@@ -114,31 +114,87 @@ def _bareiss_det(mat: list[list[int]]) -> int:
 
     All intermediate divisions are exact, so the arithmetic stays in the
     integers and avoids rational blow-up.
+
+    After step k the elimination holds in entry (i, j) the minor on the
+    pivot rows and columns 0..k bordered by row i and column j.  If column
+    j is 0 in every pivot row so far, or row i is 0 in every pivot column
+    so far, Sylvester's identity makes that minor the original entry times
+    the last pivot.  Such a line is asleep: no step updates it.  It wakes
+    at the first step whose pivot row (for a column) or pivot column (for
+    a row) is nonzero in it, and its entries are then multiplied by the
+    last pivot once, each entry when the second of its two lines wakes.
+
+    Invariant: entry (i, j) holds the true minor when row i and column j
+    are both awake and its original value otherwise, so a stored entry is
+    zero exactly when the true one is, and each step updates only awake
+    rows and columns.  The pivots, row swaps and determinant are those of
+    the eager elimination.  Dimensions up to 2 are expanded directly.
     """
+    n = len(mat)
+    if n < 2:
+        return mat[0][0] if n else 1
+    if n == 2:
+        (w, x), (y, z) = mat
+        return w * z - x * y
     a = [row[:] for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
+    row_awake = [False] * n
+    col_awake = [False] * n
+    asleep = list(range(n))  # the columns still asleep
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    last = n - 1
+    for k in range(last):
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
                     a[k], a[r] = a[r], a[k]
+                    row_awake[k], row_awake[r] = row_awake[r], row_awake[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = a[k][k]
+        row_k = a[k]
+        if asleep:
+            woken = [j for j in asleep if row_k[j]]
+            if woken:
+                asleep = [j for j in asleep if not row_k[j]]
+                for j in woken:
+                    col_awake[j] = True
+                if prev != 1:
+                    for i in range(k, n):
+                        if row_awake[i]:
+                            row_i = a[i]
+                            for j in woken:
+                                row_i[j] *= prev
+        if asleep:
+            cols = [j for j in range(k + 1, n) if col_awake[j]]
+        else:
+            cols = range(k + 1, n)
+        if not row_awake[k]:
+            row_awake[k] = True
+            if prev != 1:
+                row_k[k] *= prev
+                for j in cols:
+                    row_k[j] *= prev
+        pivot = row_k[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
+            row_i = a[i]
+            if not row_awake[i]:
+                if not row_i[k]:
+                    continue
+                row_awake[i] = True
+                if prev != 1:
+                    row_i[k] *= prev
+                    for j in cols:
+                        row_i[j] *= prev
+            aik = row_i[k]
+            for j in cols:
                 row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-            row_i[k] = 0
         prev = pivot
-    return sign * a[n - 1][n - 1]
+    det = a[last][last]
+    if not (row_awake[last] and col_awake[last]):
+        det *= prev
+    return sign * det
 
 
 def jacobi_trudi_count(shape: SkewShape) -> int:

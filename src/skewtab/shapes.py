@@ -42,6 +42,14 @@ class Partition:
             parts = parts[:-1]
         self.parts = parts
 
+    @classmethod
+    def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
+        """A partition from parts the library has built itself: a tuple of
+        positive, weakly decreasing ints, taken without re-validation."""
+        self = object.__new__(cls)
+        self.parts = parts
+        return self
+
     # -- basic structure ---------------------------------------------------
 
     def __len__(self) -> int:
@@ -75,7 +83,7 @@ class Partition:
             while self.parts[rows - 1] < j:
                 rows -= 1
             cols.append(rows)
-        return Partition(cols)
+        return Partition._trusted(tuple(cols))
 
     def contains(self, other: "Partition") -> bool:
         return all(self.part(i) >= other.part(i) for i in range(1, len(other) + 1))
@@ -172,6 +180,15 @@ class SkewShape:
         self.outer = outer
         self.inner = inner
 
+    @classmethod
+    def _trusted(cls, outer: Partition, inner: Partition) -> "SkewShape":
+        """outer/inner for partitions known to satisfy inner <= outer, taken
+        without re-validation."""
+        self = object.__new__(cls)
+        self.outer = outer
+        self.inner = inner
+        return self
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SkewShape)
@@ -258,27 +275,34 @@ class SkewShape:
 
     def canonical(self) -> "SkewShape":
         """Drop empty border rows and shift left so the diagram touches column 1."""
-        outer = list(self.outer.parts)
-        inner = [self.inner.part(i) for i in range(1, len(outer) + 1)]
-        while outer and outer[0] == inner[0]:
-            outer.pop(0)
-            inner.pop(0)
-        while outer and outer[-1] == inner[-1]:
-            outer.pop()
-            inner.pop()
-        shift = min(inner) if outer else 0
-        return SkewShape([p - shift for p in outer], [p - shift for p in inner])
+        outer = self.outer.parts
+        return _canonical(outer, [self.inner.part(i) for i in range(1, len(outer) + 1)])
 
     def rotate180(self) -> "SkewShape":
         """The dual shape: the diagram rotated 180 degrees, canonicalized."""
         lam, mu = self.outer, self.inner
         ell = len(lam)
-        if ell == 0:
-            return SkewShape(())
         w = lam.part(1)
         new_outer = [w - mu.part(ell + 1 - i) for i in range(1, ell + 1)]
         new_inner = [w - lam.part(ell + 1 - i) for i in range(1, ell + 1)]
-        return SkewShape(new_outer, new_inner).canonical()
+        return _canonical(new_outer, new_inner)
+
+
+def _canonical(outer, inner) -> SkewShape:
+    """The canonical form of outer/inner, given as row lengths of equal
+    count of a valid skew shape: empty border rows dropped, then shifted left
+    by the last inner row, so both parts come out valid and are taken
+    without re-validation."""
+    lo, hi = 0, len(outer)
+    while lo < hi and outer[lo] == inner[lo]:
+        lo += 1
+    while lo < hi and outer[hi - 1] == inner[hi - 1]:
+        hi -= 1
+    shift = inner[hi - 1] if lo < hi else 0
+    return SkewShape._trusted(
+        Partition._trusted(tuple(p - shift for p in outer[lo:hi])),
+        Partition._trusted(tuple(p - shift for p in inner[lo:hi] if p > shift)),
+    )
 
 
 # -- text notation ----------------------------------------------------------
@@ -533,4 +557,4 @@ def subpartitions(lam: Partition) -> Iterator[Partition]:
                     yield (p,) + rest
 
     for parts in rec(1, lam.part(1) if len(lam) else 0):
-        yield Partition(parts)
+        yield Partition._trusted(parts)

@@ -30,9 +30,9 @@ def skew_shapes(max_size: int, connected_only: bool = True) -> Iterator[SkewShap
     """All skew shapes outer/inner with |outer| <= max_size, nonempty cell set."""
     for m in range(1, max_size + 1):
         for parts in partitions_of(m):
-            lam = Partition(parts)
+            lam = Partition._trusted(parts)
             for mu in subpartitions(lam):
-                shape = SkewShape(lam, mu)
+                shape = SkewShape._trusted(lam, mu)
                 if shape.size == 0:
                     continue
                 if connected_only and not shape.is_connected():

@@ -157,15 +157,19 @@ _THICK_RIBBON_CK = {
     36: -0.205156,
     38: -0.204151,
     40: -0.203238,
+    42: -0.202405,
+    44: -0.201642,
+    46: -0.200941,
+    48: -0.200294,
 }
 
 
 def test_thick_ribbon_certification():
-    with _timer("thick-ribbon finite certification (k <= 40)", budget=120.0):
+    with _timer("thick-ribbon finite certification (k <= 48)", budget=120.0):
         band = band_constants("thick-ribbon")
         assert round(band.lower, 4) == -0.3237
         assert round(band.upper, 4) == -0.0621
-        for k in range(2, 41, 2):
+        for k in range(2, 49, 2):
             shape = thick_ribbon(k)
             n = shape.size
             assert n == k * (3 * k - 1) // 2

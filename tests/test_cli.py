@@ -349,10 +349,26 @@ def test_numpy_loaded_only_by_quadrature():
         "assert abs(unit_box_log_integral(0.0, 128) + 0.1137) < 1e-3",
         "assert 'numpy' in sys.modules",
     ])
-    src = str(Path(skewtab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["e"] == "61"
+
+
+def _fresh_python(*args):
+    """Run a fresh interpreter on this checkout's skewtab."""
+    src = str(Path(skewtab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("spec", ["zigzag:k=40", "thick-ribbon:k=12"])
+@pytest.mark.parametrize("command", ["count", "bounds"])
+def test_optimized_interpreter_prints_the_same(command, spec):
+    # `python -O` strips assert statements; every invariant is checked by
+    # raising instead, so the output must not change
+    plain = _fresh_python("-m", "skewtab.cli", command, spec)
+    optimized = _fresh_python("-O", "-m", "skewtab.cli", command, spec)
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert plain.stdout and optimized.stdout == plain.stdout
