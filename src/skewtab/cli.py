@@ -1,14 +1,17 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verdict/numeric failure, 2 usage error, 3 resource
-cap exceeded.  Big integers are emitted as decimal strings, rationals as
-"p/q", and output is deterministic byte-for-byte for identical commands.
+cap exceeded, 141 stdout closed by its reader before the output was written
+(as a shell reports a program killed by SIGPIPE, e.g. under `| head`).  Big
+integers are emitted as decimal strings, rationals as "p/q", and output is
+deterministic byte-for-byte for identical commands.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -20,6 +23,7 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141
 
 
 def _num(value) -> str:
@@ -292,7 +296,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Nothing more can reach the reader.  Point stdout at devnull so the
+        # interpreter's flush at exit does not raise the same error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ShapeParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

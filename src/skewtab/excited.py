@@ -140,30 +140,116 @@ def nhlf_count(shape: SkewShape) -> int:
     """Count standard tableaux as n! times the sum over excited diagrams D of
     prod_{u in outer, u not in D} 1/h(u); must agree with the determinant count.
 
-    The complements of the excited diagrams are the non-intersecting up/right
-    path families in the outer shape joining each border strip's start to its
-    end (Kreiman; Morales-Pak-Panova), so by Lindstrom-Gessel-Viennot the sum
-    is one determinant of path sums; nothing is enumerated.  A cell u weighs
-    C / h(u), C the lcm of the outer hooks, and every family covers n cells,
-    so the integer determinant is C^n times the hook sum.
+    The sum is one Lindstrom-Gessel-Viennot determinant, on one of two
+    lattices (Kreiman; Morales-Pak-Panova); nothing is enumerated.
+
+    - Flag lattice: the excited diagrams are flagged tableaux of the inner
+      shape, one path per inner row, weighted by the hooks of the diagram's
+      cells.  The ell(inner) x ell(inner) determinant is the integer
+      sum_D prod_{u in D} h(u), and e = n! times it over the outer hook
+      product.
+    - Strip lattice: the complements of the excited diagrams are path
+      families joining each border strip's start to its end.  A cell u
+      weighs C / h(u), C the lcm of the outer hooks, so the determinant,
+      one row per strip, is C^n times the hook sum.
+
+    The flag lattice is taken when ell(inner) <= 3 * (number of strips).
+    Its entries stay small, while the strip lattice's carry C^n, but its
+    dimension is the number of inner rows, so a long ribbon (one strip,
+    many inner rows) takes the strip lattice.  The factor 3 was measured
+    against the factors 1 to 8.  It came within 7% of the least total
+    time on thick ribbons delta_{k+r}/delta_k (k <= 32, r <= 8) and on
+    random skew shapes of up to 40, 60 and 80 cells, where the factor 2
+    took up to 1.8x as long.  On the connected shapes with |outer| <= 11,
+    where either lattice takes tens of microseconds, it took 13% less
+    time than the strip lattice alone, the factor 4 only 3% less.
     """
-    return _nhlf_count(shape, border_strip_decomposition(shape))
+    return _nhlf_count(shape)
 
 
-def _nhlf_count(shape: SkewShape, strips) -> int:
-    """`nhlf_count`, given the shape's border strips."""
-    n = shape.size
+def _nhlf_count(shape: SkewShape, strips=None) -> int:
+    """`nhlf_count`; a caller that has the shape's border strips passes them."""
+    count = _strip_count(shape) if strips is None else len(strips)
+    if len(shape.inner) <= 3 * count:
+        det, den = _flag_hook_sum(shape)
+    else:
+        if strips is None:
+            strips = border_strip_decomposition(shape)
+        det, den = _strip_hook_sum(shape, strips)
+    if det <= 0:
+        raise ArithmeticError("hook-sum determinant is not positive")
+    return _exact_quotient(factorial(shape.size) * det, den, "hook-sum count")
+
+
+def _flag_hook_sum(shape: SkewShape) -> tuple[int, int]:
+    """The hook sum as (det, den), det / den = sum_D prod_{u not in D} 1/h(u),
+    from the flag lattice: det = sum_D prod_{u in D} h(u), den = H(outer).
+
+    Entry t in inner cell (i, j) puts the excited cell at (t, t + j - i),
+    and row i's entries are at most its flag.  Row i of the tableau is a
+    path on lattice points (x = content, y = entry) from (-i, 1) to
+    (inner_i - i, flag_i).  An east step into (x, y) is the cell
+    (y, x + y), weighing its outer hook, or 0 outside the outer shape;
+    north steps weigh 1.  The flags never decrease down the rows, so the
+    non-intersecting families are the flagged tableaux (Wachs).
+    """
+    lam, mu = shape.outer, shape.inner.parts
+    den = lam.hook_product()
+    if not mu:
+        return 1, den
+    flags = row_flags(shape)
+    top = flags[-1]
+    parts, cols = lam.parts, lam.conjugate().parts
+    sinks: dict[int, list[tuple[int, int]]] = {}
+    for k, (m, f) in enumerate(zip(mu, flags)):
+        sinks.setdefault(m - k - 1, []).append((k, f))
+    # Column x of the lattice: the first entry y with a cell, and the hooks
+    # of the cells (y, x + y) down that diagonal, for y up to the top flag.
+    # The first entry, max(1, 1 - x), never grows with x, so the entries
+    # below it stay 0 as the columns are updated in place.
+    diagonals = {}
+    for x in range(1 - len(mu), mu[0]):
+        first = y = max(1, 1 - x)
+        hooks = []
+        while y <= top and parts[y - 1] >= x + y:
+            hooks.append(parts[y - 1] + cols[x + y - 1] - 2 * y - x + 1)
+            y += 1
+        diagonals[x] = (first, hooks)
+    mat = []
+    for i in range(1, len(mu) + 1):
+        # Weighted paths from the source (-i, 1) to (x, y), updated in
+        # place column by column.  No east step leaves an entry below i,
+        # so those start at 0; a sink in the source column has a flag
+        # above i.
+        sums = [0] * i + [1] * (top + 1 - i)
+        row = [0] * len(mu)
+        for x in range(-i, mu[0]):
+            if x > -i:
+                y, hooks = diagonals[x]
+                acc = 0
+                for h in hooks:
+                    acc += sums[y] * h
+                    sums[y] = acc
+                    y += 1
+                sums[y:] = [acc] * (top + 1 - y)
+            for k, f in sinks.get(x, ()):
+                row[k] = sums[f]
+        mat.append(row)
+    return _bareiss_det(mat), den
+
+
+def _strip_hook_sum(shape: SkewShape, strips) -> tuple[int, int]:
+    """The hook sum as (det, den), from the strip lattice: den = C^n."""
     hooks = shape.outer.hooks()
     scale = lcm(*hooks.values())
     det = _path_determinant(shape.outer, strips, {c: scale // h for c, h in hooks.items()})
-    if det <= 0:
-        raise ArithmeticError("hook-sum determinant is not positive")
-    return _exact_quotient(factorial(n) * det, scale**n, "hook-sum count")
+    return det, scale**shape.size
 
 
 def xi_path_count(shape: SkewShape) -> int:
     """Number of excited diagrams, as the number of non-intersecting path
-    families of the hook sum: its path determinant with every cell weighing 1.
+    families on the hook sum's strip lattice: its determinant with every
+    cell weighing 1.
 
     Independent of the flag determinant `xi_determinant`.
     """
@@ -274,6 +360,24 @@ def border_strip_decomposition(shape: SkewShape) -> list[tuple[Cell, ...]]:
     return strips
 
 
+def _strip_count(shape: SkewShape) -> int:
+    """Number of strips in `border_strip_decomposition`, from row lengths.
+
+    A cell's depth is its place down its diagonal, and cells of one depth
+    on neighbouring diagonals always touch, so the strips of depth d are
+    the runs of consecutive diagonals holding at least d cells.  Their
+    number is the sum over contents c of the rise from diagonal c - 1 to
+    diagonal c, where positive: the rows starting on c less those ending
+    just before it.
+    """
+    rows = len(shape.outer)
+    rises = [0] * (rows + shape.outer.part(1) + 1)  # index: content + rows - 1
+    for i, (lo, hi) in enumerate(shape.row_bounds(), start=1):
+        rises[lo - i + rows] += 1
+        rises[hi - i + rows] -= 1
+    return sum(r for r in rises if r > 0)
+
+
 def paths_from_diagram(shape: SkewShape, diagram) -> PathFamily:
     """Decompose the complement of an excited diagram into its path family.
 
@@ -322,7 +426,7 @@ def xi_bounds(shape: SkewShape) -> tuple[int, int]:
     n = shape.size
     if n == 0:
         return 1, 1
-    k = len(border_strip_decomposition(shape))
+    k = _strip_count(shape)
     d = shape.outer.durfee()
     return 2 ** (n - k), n ** (2 * d * d)
 

@@ -57,8 +57,9 @@ def oracle_sweep(max_size: int = 8, progress: Callable | None = None) -> SweepRe
     enumeration's inner-size cap, the enumeration.
 
     The brute-force cap is checked before the first shape; each shape's
-    border strips serve both path determinants, and its flag determinant
-    serves the enumeration's cap check too."""
+    border strips serve the path count of xi and, when it takes that
+    lattice, the hook sum, and its flag determinant serves the
+    enumeration's cap check too."""
     _check_brute_cap(max_size)
     checked = 0
     failures = []

@@ -354,13 +354,36 @@ def test_numpy_loaded_only_by_quadrature():
     assert json.loads(proc.stdout)["e"] == "61"
 
 
+def _fresh_env():
+    """The environment of a fresh interpreter on this checkout's skewtab."""
+    src = str(Path(skewtab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def _fresh_python(*args):
     """Run a fresh interpreter on this checkout's skewtab."""
-    src = str(Path(skewtab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=_fresh_env(), capture_output=True, text=True, timeout=120
     )
+
+
+def test_reader_closing_stdout_ends_quietly():
+    # 152 kB of JSON, far more than a pipe holds: the reader takes 10 bytes
+    # and closes the pipe while the command is still writing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "skewtab.cli", "excited", "5,5,5,5,5/3,2,1", "--paths"],
+        env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert head == b'{\n  "shape'
+    assert (code, err) == (cli.EXIT_PIPE, b"")
 
 
 @pytest.mark.parametrize("spec", ["zigzag:k=40", "thick-ribbon:k=12"])

@@ -5,7 +5,7 @@ import pytest
 
 from skewtab import cli, excited
 from skewtab.errors import CapExceeded
-from skewtab.exact import brute_force_count, naive_hlf, schur_principal
+from skewtab.exact import brute_force_count, jacobi_trudi_count, naive_hlf, schur_principal
 from skewtab.excited import (
     border_strip_decomposition,
     enumerate_excited,
@@ -166,7 +166,7 @@ def test_nhlf_count():
     assert nhlf_count(GOLDEN) == 3060
     assert nhlf_count(SkewShape([3, 2, 1], [1])) == 16
     lam = Partition([4, 2, 1])
-    from skewtab.exact import hlf_count, jacobi_trudi_count
+    from skewtab.exact import hlf_count
 
     assert nhlf_count(SkewShape(lam)) == hlf_count(lam)
 
@@ -179,9 +179,39 @@ def test_nhlf_count():
     for shape in skew_shapes(9, connected_only=False):
         assert nhlf_count(shape) == enumerated_hook_sum(shape), shape
 
-    # far beyond enumeration: xi(thick_ribbon(12)) ~ 1.16e22, |inner| = 13 > DEFAULT_MU_CAP
-    for shape in (thick_ribbon(12), SkewShape([8] * 6, [4, 4, 3, 2])):
+    # far beyond enumeration: xi(thick_ribbon(12)) ~ 1.16e22, |inner| = 13 > DEFAULT_MU_CAP;
+    # thick_ribbon(24) on the flag lattice, zigzag(40) on the strip lattice
+    for shape in (thick_ribbon(12), SkewShape([8] * 6, [4, 4, 3, 2]), thick_ribbon(24), zigzag(40)):
         assert nhlf_count(shape) == jacobi_trudi_count(shape), shape
+
+
+def test_hook_sum_lattices_agree():
+    # each lattice's determinant over its denominator is the same hook sum
+    for shape in skew_shapes(9, connected_only=False):
+        flag = Fraction(*excited._flag_hook_sum(shape))
+        strip = Fraction(*excited._strip_hook_sum(shape, border_strip_decomposition(shape)))
+        assert flag == strip, shape
+
+
+def test_hook_sum_lattice_choice(monkeypatch):
+    taken = []
+    for name in ("_flag_hook_sum", "_strip_hook_sum"):
+        real = getattr(excited, name)
+        monkeypatch.setattr(
+            excited, name, lambda *args, _real=real, _name=name: taken.append(_name) or _real(*args)
+        )
+    # ell(inner) against the number of border strips
+    expected = {
+        zigzag(20): "_strip_hook_sum",  # 19 rows, 1 strip
+        zigzag(8): "_strip_hook_sum",  # 7 rows, 1 strip
+        thick_ribbon(12): "_flag_hook_sum",  # 11 rows, 6 strips
+        SkewShape([8] * 8, [3] * 4): "_flag_hook_sum",  # 4 rows, 5 strips
+        SkewShape([2, 2], [1]): "_flag_hook_sum",  # 1 row, 1 strip
+    }
+    for shape, lattice in expected.items():
+        taken.clear()
+        assert nhlf_count(shape) == jacobi_trudi_count(shape)
+        assert taken == [lattice], shape
 
 
 def test_min_max_term(monkeypatch, capsys):
@@ -223,14 +253,17 @@ def test_min_max_term(monkeypatch, capsys):
 
 
 def test_soundness_checks_raise(monkeypatch):
-    # (2,2)/(1): the path determinant is 72 = 6^3 / 3, one more gives 3! * 73 / 6^3
+    # (2,2)/(1) takes the flag lattice: its determinant is h(1,1) + h(2,2) = 4
+    # and 3! * 4 / 12 = 2, one more gives 3! * 5 / 12.  zigzag(8) takes the
+    # strip lattice, whose determinant carries C^n.
     real_det = excited._bareiss_det
-    monkeypatch.setattr(excited, "_bareiss_det", lambda mat: real_det(mat) + 1)
-    with pytest.raises(ArithmeticError, match="hook-sum"):
-        nhlf_count(SkewShape([2, 2], [1]))
-    monkeypatch.setattr(excited, "_bareiss_det", lambda mat: -real_det(mat))
-    with pytest.raises(ArithmeticError, match="hook-sum"):
-        nhlf_count(SkewShape([2, 2], [1]))
+    for shape in (SkewShape([2, 2], [1]), zigzag(8)):
+        monkeypatch.setattr(excited, "_bareiss_det", lambda mat: real_det(mat) + 1)
+        with pytest.raises(ArithmeticError, match="hook-sum count is not an integer"):
+            nhlf_count(shape)
+        monkeypatch.setattr(excited, "_bareiss_det", lambda mat: -real_det(mat))
+        with pytest.raises(ArithmeticError, match="hook-sum determinant is not positive"):
+            nhlf_count(shape)
     monkeypatch.setattr(excited, "_bareiss_det", real_det)
     monkeypatch.setattr(excited, "schur_principal", lambda mu, ell: schur_principal(mu, ell) + 1)
     with pytest.raises(ArithmeticError, match="Schur"):
@@ -245,6 +278,7 @@ def test_border_strips():
     assert len(border_strip_decomposition(SkewShape([2, 2], [1]))) == 1
     for shape in skew_shapes(9, connected_only=False):
         strips = border_strip_decomposition(shape)
+        assert excited._strip_count(shape) == len(strips), shape
         cells = [c for strip in strips for c in strip]
         assert sorted(cells) == shape.cells(), shape  # every skew cell exactly once
         assert [s[0] for s in strips] == sorted(s[0] for s in strips)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from skewtab import exact, excited
 from skewtab.bounds import hp_lower, upper_ideal_sizes
 from skewtab.exact import _bareiss_det, brute_force_count, jacobi_trudi_count, naive_hlf
-from skewtab.excited import nhlf_count, xi_determinant, xi_path_count
+from skewtab.excited import border_strip_decomposition, nhlf_count, xi_determinant, xi_path_count
 from skewtab.shapes import (
     Partition,
     SkewShape,
@@ -68,6 +68,16 @@ def test_hook_sum_matches_jacobi_trudi(shape):
     # with the test above: JT = NHLF = DP, the hook sum here also on
     # disconnected shapes and beyond the DP's reach
     assert nhlf_count(shape) == jacobi_trudi_count(shape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_skew_shapes(40, connected=False))
+def test_hook_sum_lattices_agree(shape):
+    # the flag and strip lattices, whichever `nhlf_count` would take
+    strips = border_strip_decomposition(shape)
+    assert excited._strip_count(shape) == len(strips)
+    flag = Fraction(*excited._flag_hook_sum(shape))
+    assert flag == Fraction(*excited._strip_hook_sum(shape, strips))
 
 
 @settings(max_examples=150, deadline=None)
