@@ -72,10 +72,8 @@ def log_factorial_family(kind: str, n: int) -> LogEstimate:
         est = 0.5 * n * n * ln - 0.75 * n * n + 2 * n * ln
     elif kind == "double-superfactorial":
         est = n * n * ln + (l2 - 1.5) * n * n + 2.5 * n * ln
-    elif kind == "super-doublefactorial":
+    else:  # super-doublefactorial
         est = 0.5 * n * n * ln + (l2 / 2 - 0.75) * n * n + 0.5 * n * ln
-    else:
-        raise ValueError(f"unknown factorial kind '{kind}'")
     return LogEstimate(exact=exact, estimate=est)
 
 

@@ -74,51 +74,42 @@ def _validate_chains(shape: SkewShape, decomposition: ChainDecomposition) -> Non
         raise ValueError("chains do not cover the shape")
 
 
-def upper_ideal_sizes(shape: SkewShape) -> dict[Cell, int]:
-    """For each cell, the number of cells weakly below and to the right.
+def _suffix_sums(shape: SkewShape):
+    """Per row, bottom row first, the number of cells weakly below and to the
+    right of each of the row's cells in turn.
 
-    A suffix sum over the bounding box, bottom row first: after row i,
-    below[j] counts the cells in rows >= i and columns >= j, i.e.
-    S(i, j) = S(i + 1, j) + #{cells of row i in columns >= j}, which takes
-    O(rows * width) work rather than comparing all pairs of cells.
+    A suffix sum over the columns: S(i, j) = S(i + 1, j) + #{cells of row i
+    in columns >= j}, which takes O(cells) work rather than comparing all
+    pairs of cells.  Only the columns of a row's own cells are updated: the
+    cells of the rows above lie right of this row's inner part, so the
+    columns left of it are never read again.
     """
     below = [0] * (shape.outer.part(1) + 1)
-    rows = []
     for lo, hi in reversed(shape.row_bounds()):
-        run = 0
-        for j in range(hi, 0, -1):
-            run += j > lo
-            below[j] += run
-        rows.append(below[:])
-    rows.reverse()
-    return {c: rows[c.row - 1][c.col] for c in shape.cells()}
+        for j in range(lo + 1, hi + 1):
+            below[j] += hi - j + 1
+        yield below[lo + 1 : hi + 1]
 
 
-def hp_lower(shape: SkewShape, use_dual: bool = True) -> Fraction:
+def upper_ideal_sizes(shape: SkewShape) -> dict[Cell, int]:
+    """For each cell, the number of cells weakly below and to the right."""
+    rows = reversed(list(_suffix_sums(shape)))
+    return {
+        Cell(i, j): size
+        for i, ((lo, _), sizes) in enumerate(zip(shape.row_bounds(), rows), start=1)
+        for j, size in enumerate(sizes, lo + 1)
+    }
+
+
+def hp_lower(shape: SkewShape) -> Fraction:
     """n! over the product of upper-ideal sizes.
 
-    The bound is orientation dependent, so by default it is also evaluated on
-    the 180-degree rotation and the larger value is returned.  With
-    use_dual=False the single-orientation value is returned; on ribbon hooks
-    that value coincides exactly with the naive hook-length bound.
-
-    The sizes are the suffix sums of `upper_ideal_sizes`, multiplied in row
-    by row as they are produced.  Only the columns of a row's own cells are
-    updated: the cells of the rows above lie right of this row's inner part,
-    so the columns left of it are never read again.
+    The bound is orientation dependent, so it is evaluated on the shape and
+    on its 180-degree rotation and the larger value is returned.  The sizes
+    are multiplied in row by row as `_suffix_sums` produces them.
     """
-    orientations = (shape, shape.rotate180()) if use_dual else (shape,)
-    best = None
-    for s in orientations:
-        below = [0] * (s.outer.part(1) + 1)
-        sizes = 1
-        for lo, hi in reversed(s.row_bounds()):
-            for j in range(lo + 1, hi + 1):
-                below[j] += hi - j + 1
-            sizes *= prod(below[lo + 1 : hi + 1])
-        q = Fraction(factorial(s.size), sizes)
-        best = q if best is None else max(best, q)
-    return best
+    n = factorial(shape.size)
+    return max(Fraction(n, prod(map(prod, _suffix_sums(s)))) for s in (shape, shape.rotate180()))
 
 
 def skew_lr_upper(shape: SkewShape) -> Fraction:

@@ -113,9 +113,7 @@ def _render_grid(shape: SkewShape, diagram) -> str:
 
 def cmd_excited(args) -> int:
     shape = _resolve_shape(args.shape)
-    diagrams = excited.enumerate_excited(
-        shape, mu_cap=args.max_inner, xi_cap=args.max_excited
-    )
+    diagrams = excited.enumerate_excited(shape, cap=args.max_cells)
     doc = {
         "shape": shape_text(shape),
         "xi": _num(len(diagrams)),
@@ -264,8 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape")
     p.add_argument("--paths", action="store_true", help="include path families")
     p.add_argument("--render", action="store_true", help="plain-text grids")
-    p.add_argument("--max-excited", type=int, default=excited.DEFAULT_XI_CAP)
-    p.add_argument("--max-inner", type=int, default=excited.DEFAULT_MU_CAP)
+    p.add_argument("--max-cells", type=int, default=excited.DEFAULT_CELL_CAP,
+                   help="cap on xi * |inner|, the cells the enumeration stores")
 
     p = add("nhlf", cmd_nhlf, "count through the excited hook sum")
     p.add_argument("shape")

@@ -43,36 +43,28 @@ def odd_double_factorial(n: int) -> int:
     return factorial(2 * n) // (2**n * factorial(n))
 
 
-def superfactorial(n: int) -> int:
-    """1! * 2! * ... * n!"""
+def _cumulative_product(cache: list[int], term, n: int) -> int:
+    """cache[n] = term(1) * ... * term(n), growing the append-only cache."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    while len(_superfactorials) <= n:
-        m = len(_superfactorials)
-        _superfactorials.append(_superfactorials[-1] * factorial(m))
-    return _superfactorials[n]
+    while len(cache) <= n:
+        cache.append(cache[-1] * term(len(cache)))
+    return cache[n]
+
+
+def superfactorial(n: int) -> int:
+    """1! * 2! * ... * n!"""
+    return _cumulative_product(_superfactorials, factorial, n)
 
 
 def double_superfactorial(n: int) -> int:
     """1! * 3! * 5! * ... * (2n - 1)!"""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(_double_superfactorials) <= n:
-        m = len(_double_superfactorials)
-        _double_superfactorials.append(_double_superfactorials[-1] * factorial(2 * m - 1))
-    return _double_superfactorials[n]
+    return _cumulative_product(_double_superfactorials, lambda m: factorial(2 * m - 1), n)
 
 
 def super_doublefactorial(n: int) -> int:
     """1!! * 3!! * 5!! * ... * (2n - 1)!!"""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(_super_doublefactorials) <= n:
-        m = len(_super_doublefactorials)
-        _super_doublefactorials.append(
-            _super_doublefactorials[-1] * odd_double_factorial(m)
-        )
-    return _super_doublefactorials[n]
+    return _cumulative_product(_super_doublefactorials, odd_double_factorial, n)
 
 
 FACTORIAL_KINDS = {

@@ -26,34 +26,29 @@ from .exact import (
 )
 from .shapes import Cell, Partition, SkewShape
 
-DEFAULT_MU_CAP = 12
-DEFAULT_XI_CAP = 10**7
+DEFAULT_CELL_CAP = 10**8
 
 Diagram = tuple[Cell, ...]
 
 
-def enumerate_excited(
-    shape: SkewShape,
-    mu_cap: int = DEFAULT_MU_CAP,
-    xi_cap: int = DEFAULT_XI_CAP,
-) -> list[Diagram]:
+def enumerate_excited(shape: SkewShape, cap: int = DEFAULT_CELL_CAP) -> list[Diagram]:
     """All excited diagrams, breadth-first from the inner shape.
 
     The same diagram is reachable along many move orders, so states are
     deduplicated by their sorted cell set.  The first element is always the
-    inner diagram itself.  Both caps are checked before the search starts,
-    the number of diagrams by the flag determinant.
+    inner diagram itself.  The search stores xi * |inner| cells, xi the
+    number of diagrams by the flag determinant; that product is checked
+    against cap before the search starts.
     """
-    if shape.inner.size > mu_cap:
-        raise CapExceeded(f"excited enumeration needs |inner| <= {mu_cap}, got {shape.inner.size}")
-    return _enumerate_excited(shape, xi_determinant(shape), xi_cap)
+    return _enumerate_excited(shape, xi_determinant(shape), cap)
 
 
-def _enumerate_excited(shape: SkewShape, xi: int, xi_cap: int) -> list[Diagram]:
-    """The search of `enumerate_excited`, given the flag determinant's count
-    xi, which is checked against xi_cap before the search starts."""
-    if xi > xi_cap:
-        raise CapExceeded(f"more than {xi_cap} excited diagrams")
+def _enumerate_excited(shape: SkewShape, xi: int, cap: int) -> list[Diagram]:
+    """The search of `enumerate_excited`, given the flag determinant's count xi."""
+    if xi * shape.inner.size > cap:
+        raise CapExceeded(
+            f"excited enumeration needs xi * |inner| <= {cap} cells, got {xi} * {shape.inner.size}"
+        )
     lam = shape.outer
     start = tuple(sorted(shape.inner.cells()))
     seen = {start}
@@ -164,18 +159,10 @@ def nhlf_count(shape: SkewShape) -> int:
     where either lattice takes tens of microseconds, it took 13% less
     time than the strip lattice alone, the factor 4 only 3% less.
     """
-    return _nhlf_count(shape)
-
-
-def _nhlf_count(shape: SkewShape, strips=None) -> int:
-    """`nhlf_count`; a caller that has the shape's border strips passes them."""
-    count = _strip_count(shape) if strips is None else len(strips)
-    if len(shape.inner) <= 3 * count:
+    if len(shape.inner) <= 3 * _strip_count(shape):
         det, den = _flag_hook_sum(shape)
     else:
-        if strips is None:
-            strips = border_strip_decomposition(shape)
-        det, den = _strip_hook_sum(shape, strips)
+        det, den = _strip_hook_sum(shape, border_strip_decomposition(shape))
     if det <= 0:
         raise ArithmeticError("hook-sum determinant is not positive")
     return _exact_quotient(factorial(shape.size) * det, den, "hook-sum count")
@@ -253,11 +240,7 @@ def xi_path_count(shape: SkewShape) -> int:
 
     Independent of the flag determinant `xi_determinant`.
     """
-    return _xi_path_count(shape, border_strip_decomposition(shape))
-
-
-def _xi_path_count(shape: SkewShape, strips) -> int:
-    """`xi_path_count`, given the shape's border strips."""
+    strips = border_strip_decomposition(shape)
     return _path_determinant(shape.outer, strips, dict.fromkeys(shape.outer.cells(), 1))
 
 
@@ -331,51 +314,59 @@ class PathFamily:
         return tuple((p[0], p[-1]) for p in self.paths)
 
 
+def _diagonals(shape: SkewShape) -> tuple[list[int], list[int]]:
+    """The skew cells diagonal by diagonal, from row lengths: for each
+    content c from 1 - rows up to outer_1, at index c + rows - 1, the number
+    of rows starting on c and the rise in the number of skew cells from
+    diagonal c - 1 to diagonal c.
+
+    Row i holds the contents inner_i - i < c <= outer_i - i, and both bounds
+    fall strictly down the rows, so diagonal c holds a run of rows: it
+    starts at the first row whose inner bound is below c, which is row
+    rows + 1 - (the number of rows starting on c or before), and holds as
+    many cells as the running sum of the rises.  The rise at c is the number
+    of rows starting on c less those ending just before it.
+    """
+    bounds = shape.row_bounds()
+    rows = len(bounds)
+    starts = [0] * (rows + shape.outer.part(1))
+    rises = starts[:]
+    for i, (lo, hi) in enumerate(bounds, start=1):
+        starts[lo - i + rows] += 1  # index of content lo - i + 1
+        rises[lo - i + rows] += 1
+        rises[hi - i + rows] -= 1
+    return starts, rises
+
+
 def border_strip_decomposition(shape: SkewShape) -> list[tuple[Cell, ...]]:
     """The unique decomposition of the skew cells into border strips, each
     running from the bottom of a column to the end of a row, sorted by start.
 
-    A cell's depth is one more than its up-left neighbor's if that is a skew
-    cell, else one; the strips are the connected runs of equal depth.  A
-    strip starts at a cell with no equal-depth neighbor below or to the left
-    and walks up, else right, through cells of its depth.
+    A cell's depth is its place down its diagonal.  Cells of one depth on
+    neighbouring diagonals always touch, so the strip of depth d through a
+    run of consecutive diagonals holding at least d cells each is the d-th
+    cell of every diagonal in the run, in increasing content.
     """
-    cells = shape.cells()  # reading order: every up-left neighbor comes first
-    depth: dict[Cell, int] = {}
-    for c in cells:
-        depth[c] = depth.get((c.row - 1, c.col - 1), 0) + 1
+    rows = len(shape.outer)
+    top, count = rows + 1, 0  # diagonal c's first row and number of cells
     strips = []
-    for i, j in cells:
-        d = depth[i, j]
-        if depth.get((i + 1, j)) == d or depth.get((i, j - 1)) == d:
-            continue
-        strip = [Cell(i, j)]
-        while True:
-            i, j = strip[-1]
-            nxt = Cell(i - 1, j) if depth.get((i - 1, j)) == d else Cell(i, j + 1)
-            if depth.get(nxt) != d:
-                break
-            strip.append(nxt)
-        strips.append(tuple(strip))
-    return strips
+    run: list[list[Cell]] = []  # run[d - 1]: the open strip of depth d
+    for c, (started, rise) in enumerate(zip(*_diagonals(shape)), start=1 - rows):
+        top -= started
+        count += rise
+        del run[count:]
+        while len(run) < count:
+            run.append([])
+            strips.append(run[-1])
+        for i, strip in enumerate(run, start=top):
+            strip.append(Cell(i, i + c))
+    return sorted(map(tuple, strips))
 
 
 def _strip_count(shape: SkewShape) -> int:
-    """Number of strips in `border_strip_decomposition`, from row lengths.
-
-    A cell's depth is its place down its diagonal, and cells of one depth
-    on neighbouring diagonals always touch, so the strips of depth d are
-    the runs of consecutive diagonals holding at least d cells.  Their
-    number is the sum over contents c of the rise from diagonal c - 1 to
-    diagonal c, where positive: the rows starting on c less those ending
-    just before it.
-    """
-    rows = len(shape.outer)
-    rises = [0] * (rows + shape.outer.part(1) + 1)  # index: content + rows - 1
-    for i, (lo, hi) in enumerate(shape.row_bounds(), start=1):
-        rises[lo - i + rows] += 1
-        rises[hi - i + rows] -= 1
-    return sum(r for r in rises if r > 0)
+    """Number of strips in `border_strip_decomposition`: a strip starts on
+    each diagonal for each cell it holds beyond the diagonal before it."""
+    return sum(r for r in _diagonals(shape)[1] if r > 0)
 
 
 def paths_from_diagram(shape: SkewShape, diagram) -> PathFamily:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
@@ -76,11 +76,13 @@ def test_upper_ideals_and_hp():
 
 def test_hp_equals_naive_on_ribbon_hooks(small_connected_shapes):
     assert hp_lower(zigzag(2)) == naive_hlf(zigzag(2)) == Fraction(40, 3)
-    # the single-orientation value coincides with F on ribbon hooks; taking
-    # the better of the two orientations can only improve on it
+    # the single-orientation value n! / prod(upper-ideal sizes) coincides
+    # with F on ribbon hooks; taking the better of the two orientations can
+    # only improve on it
     for shape in small_connected_shapes:
         if shape.is_ribbon_hook():
-            assert hp_lower(shape, use_dual=False) == naive_hlf(shape)
+            single = Fraction(factorial(shape.size), prod(upper_ideal_sizes(shape).values()))
+            assert single == naive_hlf(shape)
             assert hp_lower(shape) >= naive_hlf(shape)
 
 

@@ -26,6 +26,12 @@ def test_count_golden(capsys):
     assert doc["e"] == "3060" and doc["F"] == "1260" and doc["xi"] == "5"
 
 
+def test_count_text_format(capsys):
+    code, out, _ = run_cli(capsys, "count", "4,4,3,2/2,1", "--format", "text")
+    assert code == 0
+    assert out == "shape: 4,4,3,2/2,1\nn: 10\ne: 3060\nF: 1260\nxi: 5\n"
+
+
 def test_count_single_cell(capsys):
     code, out, _ = run_cli(capsys, "count", "1")
     assert code == 0
@@ -56,10 +62,10 @@ def test_usage_errors(capsys):
 
 def test_resource_cap_exit(capsys):
     code, _, err = run_cli(
-        capsys, "excited", "9,9,9,9,9,9/4,4,4,4", "--max-inner", "10"
+        capsys, "excited", "9,9,9,9,9,9/4,4,4,4", "--max-cells", "28223"
     )
     assert code == 3
-    assert "excited" in err
+    assert "excited" in err and "28223" in err  # xi * |inner| = 1764 * 16 = 28224
 
 
 def test_excited_and_paths(capsys):
@@ -161,11 +167,11 @@ FUZZ_ARGV = (
     + [
         ["count", "2,1", "--format", "xml"],
         ["bounds", "3,2,1/1", "--format", "text"],
-        ["excited", "4,4/2", "--max-inner", "-1"],
-        ["excited", "4,4/2", "--max-excited", "0"],
-        ["excited", "4,4/2", "--max-inner", "x"],
+        ["excited", "4,4/2", "--max-cells", "-1"],
+        ["excited", "4,4/2", "--max-cells", "0"],
+        ["excited", "4,4/2", "--max-cells", "x"],
         ["excited", "-", "--paths", "--render"],
-        ["nhlf", "4,4/2", "--max-excited", "1"],
+        ["nhlf", "4,4/2", "--max-cells", "1"],
         ["nhlf", "-"],
         ["family", "bogus", "--k", "2"],
         ["family", "square"],
@@ -249,7 +255,7 @@ def test_nhlf_has_no_enumeration_caps(capsys):
     _, counted, _ = run_cli(capsys, "count", "8,8,8,8,8,8/4,4,3,2")
     assert json.loads(out)["e"] == json.loads(counted)["e"]
     with pytest.raises(SystemExit):
-        cli.main(["nhlf", "4,4/2", "--max-inner", "3"])
+        cli.main(["nhlf", "4,4/2", "--max-cells", "3"])
     capsys.readouterr()
 
 
@@ -271,17 +277,17 @@ def test_verify_unknown_group(capsys):
 
 
 def test_env_cap_override(monkeypatch, capsys):
-    code, _, err = run_cli(capsys, "excited", "4,4,4/2,1", "--max-inner", "2")
+    code, _, err = run_cli(capsys, "excited", "4,4,4/2,1", "--max-cells", "2")
     assert code == 3
-    code, _, err = run_cli(capsys, "excited", "4,4,4/2,1", "--max-excited", "4")
-    assert code == 3 and "more than 4 excited diagrams" in err
+    code, _, err = run_cli(capsys, "excited", "4,4,4/2,1", "--max-cells", "23")
+    assert code == 3 and "xi * |inner| <= 23 cells, got 8 * 3" in err
     code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]]}', "--grid", "128")
     assert code == 0
     assert json.loads(out)["grid"] == 128
     code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]], "grid": 64}')
     assert json.loads(out)["grid"] == 64
     # caps are flags only; the environment no longer sets them
-    monkeypatch.setenv("SKEWTAB_MAX_INNER", "2")
+    monkeypatch.setenv("SKEWTAB_MAX_CELLS", "2")
     monkeypatch.setenv("SKEWTAB_GRID", "128")
     assert run_cli(capsys, "excited", "4,4,4/2,1")[0] == 0
     code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]]}')
@@ -289,7 +295,8 @@ def test_env_cap_override(monkeypatch, capsys):
 
 
 def test_verify_beyond_enumeration_cap(monkeypatch):
-    # |inner| = 13 > DEFAULT_MU_CAP: xi is checked by the path count alone
+    # |inner| = 13: xi is checked by the path count and by enumerating its
+    # 28 diagrams, 364 cells against the cell cap
     shape = SkewShape([6, 6, 6, 5], [5, 4, 3, 1])
     monkeypatch.setattr(verify, "skew_shapes", lambda max_size: iter([shape]))
     result = verify.oracle_sweep(14)
@@ -307,9 +314,15 @@ def test_verify_brute_cap_before_sweeping(monkeypatch, capsys):
         assert "brute-force count needs n <= 24" in err
 
 
-def test_oracle_sweep_shares_strips_and_xi(monkeypatch):
-    # one border-strip walk and one flag determinant per shape, shared by
-    # both path determinants and by the enumeration's cap check
+def test_oracle_sweep_calls_per_shape(monkeypatch):
+    # one flag determinant per shape, shared by the enumeration's cap check;
+    # one border-strip decomposition per shape for the path count of xi, and
+    # one more for each shape whose hook sum takes the strip lattice, e.g. a
+    # cell under four inner rows
+    strip_lattice = sum(
+        len(s.inner) > 3 * len(excited.border_strip_decomposition(s)) for s in verify.skew_shapes(6)
+    )
+    assert strip_lattice > 0
     calls = Counter()
     for name in ("border_strip_decomposition", "xi_determinant"):
         real = getattr(excited, name)
@@ -319,10 +332,13 @@ def test_oracle_sweep_shares_strips_and_xi(monkeypatch):
             return _real(*args, **kwargs)
 
         for module in (excited, verify):
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(module, name, counted, raising=False)
     result = verify.oracle_sweep(6)
     assert result.failures == []
-    assert calls == {"border_strip_decomposition": result.checked, "xi_determinant": result.checked}
+    assert calls == {
+        "xi_determinant": result.checked,
+        "border_strip_decomposition": result.checked + strip_lattice,
+    }
 
 
 def test_verify_failure_exit(monkeypatch, capsys):

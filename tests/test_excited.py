@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 import pytest
+from hypothesis import given, settings
 
 from skewtab import cli, excited
 from skewtab.errors import CapExceeded
@@ -35,6 +36,7 @@ from skewtab.shapes import (
     zigzag,
 )
 from skewtab.verify import skew_shapes
+from test_properties import random_skew_shapes
 
 GOLDEN = SkewShape([4, 4, 3, 2], [2, 1])
 
@@ -79,11 +81,12 @@ def test_enumerate_small():
     diagrams = enumerate_excited(SkewShape([2, 2], [1]))
     assert [tuple(d) for d in diagrams] == [((1, 1),), ((2, 2),)]
     assert enumerate_excited(SkewShape([3, 2, 1])) == [()]
+    # the cap is on xi * |inner|, the cells the search stores
     with pytest.raises(CapExceeded):
-        enumerate_excited(SkewShape([8, 8, 8, 8], [4, 4, 4, 4]), mu_cap=10)
+        enumerate_excited(SkewShape([8, 8, 8, 8], [4, 4, 4, 4]), cap=15)  # 1 * 16 cells
     with pytest.raises(CapExceeded):
-        enumerate_excited(GOLDEN, xi_cap=3)
-    assert len(enumerate_excited(GOLDEN, xi_cap=5)) == 5
+        enumerate_excited(GOLDEN, cap=14)  # 5 * 3 cells
+    assert len(enumerate_excited(GOLDEN, cap=15)) == 5
 
 
 def test_enumeration_cap_checked_before_work(monkeypatch):
@@ -92,8 +95,8 @@ def test_enumeration_cap_checked_before_work(monkeypatch):
     monkeypatch.setattr(
         excited, "_excited_move", lambda *a: moves.append(a) or real(*a)
     )
-    with pytest.raises(CapExceeded, match="more than 100 excited diagrams"):
-        enumerate_excited(SkewShape([9] * 9, [3, 3, 3]), xi_cap=100)
+    with pytest.raises(CapExceeded, match=r"xi \* \|inner\| <= 100 cells, got 41580 \* 9"):
+        enumerate_excited(SkewShape([9] * 9, [3, 3, 3]), cap=100)
     assert moves == []
 
 
@@ -156,7 +159,7 @@ def test_xi_path_count():
     # the three counts of xi agree, disconnected shapes included
     for shape in skew_shapes(9, connected_only=False):
         assert xi_path_count(shape) == xi_determinant(shape) == flagged_tableaux_count(shape)
-    # beyond enumeration: |inner| = 13 > DEFAULT_MU_CAP, and far larger
+    # |inner| = 13, and shapes far beyond enumeration
     assert xi_path_count(SkewShape([6, 6, 6, 5], [5, 4, 3, 1])) == 28
     assert xi_path_count(thick_ribbon(8)) == proctor_xi(8)
     assert xi_path_count(inverted_thick_hook(6)) == macmahon_xi(6)
@@ -179,7 +182,7 @@ def test_nhlf_count():
     for shape in skew_shapes(9, connected_only=False):
         assert nhlf_count(shape) == enumerated_hook_sum(shape), shape
 
-    # far beyond enumeration: xi(thick_ribbon(12)) ~ 1.16e22, |inner| = 13 > DEFAULT_MU_CAP;
+    # |inner| = 13 and, far beyond enumeration, xi(thick_ribbon(12)) ~ 1.16e22;
     # thick_ribbon(24) on the flag lattice, zigzag(40) on the strip lattice
     for shape in (thick_ribbon(12), SkewShape([8] * 6, [4, 4, 3, 2]), thick_ribbon(24), zigzag(40)):
         assert nhlf_count(shape) == jacobi_trudi_count(shape), shape
@@ -226,9 +229,9 @@ def test_min_max_term(monkeypatch, capsys):
     assert lo == Fraction(1, 12)  # inner at (2,2) leaves free hooks 3, 2, 2
     assert factorial(3) * (hi + lo) == 2  # the two terms assemble the count
 
-    def enumerated_extremes(shape, **caps):
+    def enumerated_extremes(shape):
         hooks, total = shape.outer.hooks(), shape.outer.hook_product()
-        terms = [prod(hooks[c] for c in d) for d in enumerate_excited(shape, **caps)]
+        terms = [prod(hooks[c] for c in d) for d in enumerate_excited(shape)]
         return Fraction(min(terms), total), Fraction(max(terms), total)
 
     # the inner and top diagrams give the extremes of the full enumeration
@@ -236,10 +239,9 @@ def test_min_max_term(monkeypatch, capsys):
         assert is_excited_diagram(shape, top_excited_diagram(shape))
         assert min_max_term(shape) == enumerated_extremes(shape), shape
 
-    # no enumeration, so no inner-size cap: |inner| = 13 > DEFAULT_MU_CAP
+    # |inner| = 13 and 10,080 diagrams, two of which min_max_term looks at
     big = SkewShape([8, 8, 8, 8, 8, 8], [4, 4, 3, 2])
-    assert big.inner.size > excited.DEFAULT_MU_CAP
-    assert min_max_term(big) == enumerated_extremes(big, mu_cap=13)
+    assert min_max_term(big) == enumerated_extremes(big)
 
     # `skewtab nhlf` enumerates no excited diagram
     calls = []
@@ -270,14 +272,44 @@ def test_soundness_checks_raise(monkeypatch):
         slim_xi_checks(SkewShape([7, 6, 5], [2, 1]))
 
 
+def depth_walk_strips(shape: SkewShape) -> list[tuple[Cell, ...]]:
+    """Reference border-strip decomposition, cell by cell.
+
+    A cell's depth is one more than its up-left neighbor's if that is a skew
+    cell, else one; the strips are the connected runs of equal depth.  A
+    strip starts at a cell with no equal-depth neighbor below or to the left
+    and walks up, else right, through cells of its depth.
+    """
+    cells = shape.cells()  # reading order: every up-left neighbor comes first
+    depth: dict[Cell, int] = {}
+    for c in cells:
+        depth[c] = depth.get((c.row - 1, c.col - 1), 0) + 1
+    strips = []
+    for i, j in cells:
+        d = depth[i, j]
+        if depth.get((i + 1, j)) == d or depth.get((i, j - 1)) == d:
+            continue
+        strip = [Cell(i, j)]
+        while True:
+            i, j = strip[-1]
+            nxt = Cell(i - 1, j) if depth.get((i - 1, j)) == d else Cell(i, j + 1)
+            if depth.get(nxt) != d:
+                break
+            strip.append(nxt)
+        strips.append(tuple(strip))
+    return strips
+
+
 def test_border_strips():
     strips = border_strip_decomposition(GOLDEN)
     assert len(strips) == 4
     assert sum(len(s) for s in strips) == GOLDEN.size
     assert len(border_strip_decomposition(zigzag(3))) == 1
     assert len(border_strip_decomposition(SkewShape([2, 2], [1]))) == 1
+    assert border_strip_decomposition(SkewShape([3], [3])) == []
     for shape in skew_shapes(9, connected_only=False):
         strips = border_strip_decomposition(shape)
+        assert strips == depth_walk_strips(shape), shape
         assert excited._strip_count(shape) == len(strips), shape
         cells = [c for strip in strips for c in strip]
         assert sorted(cells) == shape.cells(), shape  # every skew cell exactly once
@@ -286,6 +318,14 @@ def test_border_strips():
             # each step goes up or right, so one cell per diagonal
             for (i, j), nxt in zip(strip, strip[1:]):
                 assert nxt in ((i - 1, j), (i, j + 1)), (shape, strip)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+def test_border_strips_match_depth_walk(shape):
+    strips = depth_walk_strips(shape)
+    assert border_strip_decomposition(shape) == strips
+    assert excited._strip_count(shape) == len(strips)
 
 
 def test_paths_from_diagram():
