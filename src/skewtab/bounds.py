@@ -2,7 +2,9 @@
 assembled into a verdict report.
 
 All comparisons are exact (integers and fractions); the only floats are the
-log-scale gap diagnostics attached to the report.
+log-scale gap diagnostics attached to the report, taken with
+``asymptotics.log_fraction``.  The sandwich factors F and xi come straight
+from ``exact.naive_hlf`` and ``excited.xi_determinant``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
 
+from .asymptotics import log_fraction
 from .exact import _exact_quotient, jacobi_trudi_count, naive_hlf
 from .excited import xi_determinant
 from .shapes import Cell, SkewShape
@@ -119,14 +122,8 @@ def skew_lr_upper(shape: SkewShape) -> Fraction:
 
 def main_sandwich(shape: SkewShape) -> tuple[Fraction, Fraction]:
     """(F, xi * F): the naive hook-length value and its excited-count multiple."""
-    F, xi = _hlf_and_xi(shape)
-    return F, xi * F
-
-
-def _hlf_and_xi(shape: SkewShape) -> tuple[Fraction, int]:
-    """(F, xi): the naive hook-length value and the number of excited diagrams,
-    the two factors of the sandwich F <= e <= xi * F."""
-    return naive_hlf(shape), xi_determinant(shape)
+    F = naive_hlf(shape)
+    return F, xi_determinant(shape) * F
 
 
 def compare_check(shape: SkewShape) -> bool | None:
@@ -172,17 +169,15 @@ class BoundsReport:
         return all(self.verdicts.values())
 
 
-def bounds_report(shape: SkewShape, exact: int | None = None) -> BoundsReport:
+def bounds_report(shape: SkewShape) -> BoundsReport:
     """Evaluate every bound against the exact count and record verdicts.
 
     Every verdict is expected to hold on every shape; a False entry means a
     soundness bug, not a legitimate report state.
     """
-    from .asymptotics import log_fraction
-
-    if exact is None:
-        exact = jacobi_trudi_count(shape)
-    F, xi = _hlf_and_xi(shape)
+    exact = jacobi_trudi_count(shape)
+    F = naive_hlf(shape)
+    xi = xi_determinant(shape)
     xi_F = xi * F
     chains = antidiagonal_chains(shape)
     report = BoundsReport(shape=shape, exact=exact, xi=xi, chains=chains)

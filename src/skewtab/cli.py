@@ -1,8 +1,9 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verdict/numeric failure, 2 usage error, 3 resource
-cap exceeded, 141 stdout closed by its reader before the output was written
-(as a shell reports a program killed by SIGPIPE, e.g. under `| head`).  Big
+Exit codes: 0 success, 1 verdict/numeric failure, 2 usage error (including
+a parameter too large for an integer index), 3 resource cap exceeded or out of
+memory, 141 stdout closed by its reader before the output was written (as a
+shell reports a program killed by SIGPIPE, e.g. under `| head`).  Big
 integers are emitted as decimal strings, rationals as "p/q", and output is
 deterministic byte-for-byte for identical commands.
 """
@@ -114,6 +115,9 @@ def _render_grid(shape: SkewShape, diagram) -> str:
 def cmd_excited(args) -> int:
     shape = _resolve_shape(args.shape)
     diagrams = excited.enumerate_excited(shape, cap=args.max_cells)
+    if args.render:
+        print("\n\n".join(_render_grid(shape, d) for d in diagrams))
+        return EXIT_OK
     doc = {
         "shape": shape_text(shape),
         "xi": _num(len(diagrams)),
@@ -124,10 +128,6 @@ def cmd_excited(args) -> int:
             [[[i, j] for i, j in path] for path in excited.paths_from_diagram(shape, d).paths]
             for d in diagrams
         ]
-    if args.render:
-        blocks = [_render_grid(shape, d) for d in diagrams]
-        print("\n\n".join(blocks))
-        return EXIT_OK
     _emit_json(doc)
     return EXIT_OK
 
@@ -260,8 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("excited", cmd_excited, "enumerate excited diagrams")
     p.add_argument("shape")
-    p.add_argument("--paths", action="store_true", help="include path families")
-    p.add_argument("--render", action="store_true", help="plain-text grids")
+    view = p.add_mutually_exclusive_group()
+    view.add_argument("--paths", action="store_true", help="include path families")
+    view.add_argument("--render", action="store_true", help="plain-text grids")
     p.add_argument("--max-cells", type=int, default=excited.DEFAULT_CELL_CAP,
                    help="cap on xi * |inner|, the cells the enumeration stores")
 
@@ -302,18 +303,20 @@ def main(argv=None) -> int:
         # interpreter's flush at exit does not raise the same error again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except ShapeParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except (ValueError, OverflowError) as exc:
+        # an OverflowError is a parameter too large for an index or a float;
+        # it is an ArithmeticError too, so it is caught first
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

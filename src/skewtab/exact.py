@@ -2,9 +2,7 @@
 
 Everything here is integer or Fraction arithmetic; no floats.  Counts are
 plain Python ints (arbitrary precision), ratios are fractions.Fraction in
-lowest terms.  All functions are pure; the factorial-family caches are
-append-only module lists grown under the interpreter lock, so concurrent
-use is safe.
+lowest terms.  All functions are pure and the module keeps no state.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .errors import CapExceeded
-from .shapes import Cell, Partition, SkewShape
+from .shapes import Cell, Partition, SkewShape, regev_vershik_shape
 
 DEFAULT_BRUTE_CAP = 24
 DEFAULT_EULER_CAP = 1000
@@ -31,10 +29,6 @@ def _exact_quotient(num: int, den: int, what: str) -> int:
 
 # -- factorial families -------------------------------------------------------
 
-_superfactorials = [1]
-_double_superfactorials = [1]
-_super_doublefactorials = [1]
-
 
 def odd_double_factorial(n: int) -> int:
     """1 * 3 * 5 * ... * (2n - 1)."""
@@ -43,28 +37,25 @@ def odd_double_factorial(n: int) -> int:
     return factorial(2 * n) // (2**n * factorial(n))
 
 
-def _cumulative_product(cache: list[int], term, n: int) -> int:
-    """cache[n] = term(1) * ... * term(n), growing the append-only cache."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    while len(cache) <= n:
-        cache.append(cache[-1] * term(len(cache)))
-    return cache[n]
-
-
 def superfactorial(n: int) -> int:
     """1! * 2! * ... * n!"""
-    return _cumulative_product(_superfactorials, factorial, n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return prod(factorial(m) for m in range(1, n + 1))
 
 
 def double_superfactorial(n: int) -> int:
     """1! * 3! * 5! * ... * (2n - 1)!"""
-    return _cumulative_product(_double_superfactorials, lambda m: factorial(2 * m - 1), n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return prod(factorial(2 * m - 1) for m in range(1, n + 1))
 
 
 def super_doublefactorial(n: int) -> int:
     """1!! * 3!! * 5!! * ... * (2n - 1)!!"""
-    return _cumulative_product(_super_doublefactorials, odd_double_factorial, n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return prod(odd_double_factorial(m) for m in range(1, n + 1))
 
 
 FACTORIAL_KINDS = {
@@ -364,8 +355,6 @@ def dual_hook_products(nu) -> tuple[int, int]:
 def rv_hook_identity_check(sigma, rows: int, cols: int) -> bool:
     """True iff the rectangle-with-attached-copies shape has the same hook
     multiset as sigma and the rectangle taken together."""
-    from .shapes import regev_vershik_shape
-
     sigma = Partition(sigma)
     shape = regev_vershik_shape(sigma, rows, cols)
     expected = Counter(sigma.hooks().values())

@@ -163,6 +163,6 @@ def test_bounds_report_families():
     for shape in (SkewShape([3, 2]), thick_ribbon(3), zigzag(3), square_shape(3), thick_ribbon(8)):
         report = bounds_report(shape)
         assert report.all_verdicts_hold
-        # xi and the xi * F bound come from one (F, xi) helper
+        # the report and main_sandwich each take F and xi from the same kernels
         assert report.xi == xi_determinant(shape)
         assert (report.lower["naive-hlf"], report.upper["xi-times-F"]) == main_sandwich(shape)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import skewtab
-from skewtab import cli, excited, verify
+from skewtab import asymptotics, cli, excited, shapes, verify
 from skewtab.shapes import SkewShape
 from skewtab.verify import SweepResult
 
@@ -81,6 +81,11 @@ def test_excited_render(capsys):
     code, out, _ = run_cli(capsys, "excited", "2,2/1", "--render")
     assert code == 0
     assert "#." in out and ".#" in out
+    # grids show no paths, so asking for both is a usage error
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["excited", "2,2/1", "--paths", "--render"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
 
 
 def test_nhlf_subcommand(capsys):
@@ -154,6 +159,46 @@ def test_integrate_bad_specs(tmp_path, capsys):
         assert out == "" and named in err, (argv, err)
 
 
+@pytest.mark.filterwarnings("error")
+def test_integrate_non_finite_is_not_converged(capsys):
+    # the integral overflows to inf at both resolutions; inf - inf is NaN,
+    # which passes no tolerance, so the quadrature is declared non-convergent
+    code, out, err = run_cli(capsys, "integrate", '{"outer": [[0, 1e308], [1, 1e308]]}')
+    assert code == 1
+    assert out == "" and err.startswith("error: quadrature not converged")
+    assert err.count("\n") == 1
+
+
+def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
+    # simulated: the shape and the quadrature raise as an allocation that size would
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setitem(shapes.FAMILY_BUILDERS, "square", exhausted)
+    monkeypatch.setattr(asymptotics, "_hook_integral_at", exhausted)
+    for argv in (
+        ["count", "square:k=99999999999"],
+        ["integrate", '{"outer": [[0,1],[1,1]], "grid": 99999999999}'],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert (out, err) == ("", "error: out of memory\n"), argv
+
+
+# 10**20 does not fit an index, so these overflow before anything is allocated
+OVERFLOW_ARGV = [
+    ["count", "square:k=99999999999999999999"],
+    ["family", "square", "--k", "99999999999999999999"],
+]
+
+
+def test_overflowing_parameters_are_usage_errors(capsys):
+    for argv in OVERFLOW_ARGV:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
 SHAPE_JUNK = [
     "", "a", "-", "0", "-1", "/", "3/", "3,,2", "3,4/1", "2,1/3", "1,1/1,1",
     "2.5", "square", "square:k=x", "square:k=-1", "bogus:k=2", "thick-ribbon:k=0",
@@ -164,6 +209,7 @@ SHAPE_JUNK = [
 FUZZ_ARGV = (
     [[], ["bogus"], ["count"], ["count", "2,1", "--threads", "4"]]
     + [[cmd, shape] for cmd in ("count", "bounds", "excited", "nhlf") for shape in SHAPE_JUNK]
+    + OVERFLOW_ARGV
     + [
         ["count", "2,1", "--format", "xml"],
         ["bounds", "3,2,1/1", "--format", "text"],

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -52,6 +52,16 @@ def test_factorial_families():
         assert superfactorial(n) == superfactorial(n - 1) * factorial(n)
         assert double_superfactorial(n) == double_superfactorial(n - 1) * factorial(2 * n - 1)
         assert super_doublefactorial(n) == super_doublefactorial(n - 1) * odd_double_factorial(n)
+    # defining products, whatever order the values are asked for in
+    for n in [*range(15, -1, -1), *range(16)]:
+        assert superfactorial(n) == prod(factorial(m) for m in range(1, n + 1))
+        assert double_superfactorial(n) == prod(factorial(2 * m - 1) for m in range(1, n + 1))
+        assert super_doublefactorial(n) == prod(
+            prod(range(1, 2 * m, 2)) for m in range(1, n + 1)
+        )
+    for family in (superfactorial, double_superfactorial, super_doublefactorial):
+        with pytest.raises(ValueError):
+            family(-1)
 
 
 def test_hlf_count():
