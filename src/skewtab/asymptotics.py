@@ -122,6 +122,24 @@ def corner_constants() -> tuple[float, float, float]:
 # -- stable shapes and the hook integral --------------------------------------------
 
 
+def _piecewise(pieces, v, fill):
+    """Linear interpolation over pieces (lo, a, hi, b), piece i covering
+    lo < v <= hi with values a at lo and b at hi; fill where none covers v.
+
+    A boundary has a handful of pieces, so one pair of comparisons per piece
+    over the whole array beats a binary search per element.
+    """
+    import numpy as np
+
+    v = np.asarray(v, dtype=float)
+    out = np.full_like(v, fill)
+    for lo, a, hi, b in pieces:
+        m = (lo < v) & (v <= hi)
+        if np.any(m):
+            out[m] = a + (v[m] - lo) / (hi - lo) * (b - a)
+    return out
+
+
 class _Boundary:
     """A weakly decreasing piecewise-linear curve given by breakpoints.
 
@@ -141,7 +159,6 @@ class _Boundary:
         self.points = pts
         self.x_min = pts[0][0]
         self.x_max = pts[-1][0]
-        self.y_min = pts[-1][1]
         self.y_max = pts[0][1]
         segs = [
             (x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:]) if x1 > x0
@@ -161,34 +178,10 @@ class _Boundary:
         x0, y0, x1, y1 = next(seg for seg in self._segs if u < seg[2])
         return tuple(y0 + (x - x0) / (x1 - x0) * (y1 - y0) for x in (u, v))
 
-    @staticmethod
-    def _piece_index(knots, v):
-        """Number of knots strictly below each v (searchsorted, side="left").
-
-        A boundary has a handful of knots, so one comparison per knot over the
-        whole array beats a binary search per element.
-        """
-        import numpy as np
-
-        idx = np.zeros(v.shape, dtype=np.intp)
-        for _, _, r, _ in knots:
-            idx += r < v
-        return idx
-
     def __call__(self, x):
-        import numpy as np
-
-        x = np.asarray(x, dtype=float)
-        if not self._segs:
-            return np.full_like(x, self.y_max)
-        idx = np.minimum(self._piece_index(self._segs, x), len(self._segs) - 1)
-        out = np.empty_like(x)
-        for i, (x0, y0, x1, y1) in enumerate(self._segs):
-            m = idx == i
-            if np.any(m):
-                t = (x[m] - x0) / (x1 - x0)
-                out[m] = y0 + t * (y1 - y0)
-        return out
+        """Height at each x; x_min, where it is the sup, and points outside
+        the domain get y_max."""
+        return _piecewise(self._segs, x, self.y_max)
 
     def inverse(self, y):
         """Rightmost x at which the curve is still >= y (sup of the row).
@@ -196,20 +189,7 @@ class _Boundary:
         Rows at or below the curve's final height run to the end of the
         domain.  Callers only query heights inside the region.
         """
-        import numpy as np
-
-        y = np.asarray(y, dtype=float)
-        out = np.full_like(y, self.x_max)
-        if not self._inv:
-            return out
-        idx = self._piece_index(self._inv, y)
-        below = y <= self._inv[0][0]
-        for i, (ylo, xlo, yhi, xhi) in enumerate(self._inv):
-            m = (idx == i) & ~below
-            if np.any(m):
-                t = (y[m] - ylo) / (yhi - ylo)
-                out[m] = xlo + t * (xhi - xlo)
-        return out
+        return _piecewise(self._inv, y, self.x_max)
 
     def integral(self) -> float:
         return sum((x1 - x0) * (y0 + y1) / 2 for x0, y0, x1, y1 in self._segs)

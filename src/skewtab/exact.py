@@ -15,6 +15,7 @@ from .errors import CapExceeded
 from .shapes import Cell, Partition, SkewShape, regev_vershik_shape
 
 DEFAULT_BRUTE_CAP = 24
+BRUTE_STATE_LIMIT = 200_000  # order ideals of one size; C(20, 10) = 184,756 fit
 DEFAULT_EULER_CAP = 1000
 
 
@@ -229,6 +230,11 @@ def brute_force_count(shape: SkewShape, cap: int = DEFAULT_BRUTE_CAP) -> int:
     A state records how many cells of each row are filled; it is a valid
     ideal iff the filled prefix of row i never extends past the filled
     prefix of row i-1 (cells increase downward and to the right).
+
+    Two caps: n <= cap cells, checked first, and at most BRUTE_STATE_LIMIT
+    ideals of one size, checked as each new one is found, before it is
+    stored.  Every shape of at most 20 cells fits the second; 24 isolated
+    cells would need C(24, 12) = 2,704,156 states.
     """
     n = shape.size
     if n > cap:
@@ -240,7 +246,7 @@ def brute_force_count(shape: SkewShape, cap: int = DEFAULT_BRUTE_CAP) -> int:
     widths = [hi - lo for lo, hi in bounds]
     starts = [lo for lo, _ in bounds]
     counts = {tuple([0] * rows): 1}
-    for _ in range(n):
+    for size in range(1, n + 1):
         nxt: dict[tuple, int] = {}
         for state, ways in counts.items():
             for r in range(rows):
@@ -250,7 +256,16 @@ def brute_force_count(shape: SkewShape, cap: int = DEFAULT_BRUTE_CAP) -> int:
                 if r > 0 and starts[r] + c + 1 > starts[r - 1] + state[r - 1]:
                     continue
                 new = state[:r] + (c + 1,) + state[r + 1 :]
-                nxt[new] = nxt.get(new, 0) + ways
+                total = nxt.get(new)
+                if total is not None:
+                    nxt[new] = total + ways
+                elif len(nxt) < BRUTE_STATE_LIMIT:
+                    nxt[new] = ways
+                else:
+                    raise CapExceeded(
+                        f"brute-force count needs at most {BRUTE_STATE_LIMIT} order ideals "
+                        f"of one size; more have {size} cells"
+                    )
         counts = nxt
     if len(counts) != 1:
         raise ArithmeticError(f"order-ideal DP ended in {len(counts)} states, not 1")

@@ -11,7 +11,7 @@ order; enumeration output is deterministic.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt, lcm, prod
@@ -53,16 +53,13 @@ def _enumerate_excited(shape: SkewShape, xi: int, cap: int) -> list[Diagram]:
     start = tuple(sorted(shape.inner.cells()))
     seen = {start}
     order = [start]
-    queue = deque([start])
-    while queue:
-        diagram = queue.popleft()
+    for diagram in order:  # breadth-first: the loop reaches what it appends
         occupied = set(diagram)
         for i, j in diagram:
             moved = _excited_move(lam, occupied, i, j)
             if moved is not None and moved not in seen:
                 seen.add(moved)
                 order.append(moved)
-                queue.append(moved)
     return order
 
 
@@ -104,15 +101,13 @@ def is_excited_diagram(shape: SkewShape, diagram) -> bool:
 
 def row_flags(shape: SkewShape) -> list[int]:
     """Flag of row i: the last row at which the diagonal through the end of
-    inner row i is still inside the outer shape."""
-    lam = shape.outer.parts
-    flags = []
-    for i, j in enumerate(shape.inner.parts, start=1):
-        t = 0
-        while i + t < len(lam) and lam[i + t] > j + t:  # (i+t+1, j+t+1) in lam
-            t += 1
-        flags.append(i + t)
-    return flags
+    inner row i is still inside the outer shape.
+
+    Cell (r, mu_i + r - i) lies in the outer shape iff r - lam_r <= i - mu_i,
+    and r - lam_r increases strictly with r, so the flag is a count.
+    """
+    keys = [r - p for r, p in enumerate(shape.outer.parts, start=1)]
+    return [bisect_right(keys, i - m) for i, m in enumerate(shape.inner.parts, start=1)]
 
 
 def xi_determinant(shape: SkewShape) -> int:

@@ -146,12 +146,10 @@ class Partition:
             if any(a < 0 for a in seq):
                 raise ValueError("Frobenius coordinates must be nonnegative")
         d = len(arms)
-        parts = [arms[i] + i + 1 for i in range(d)]
-        for i in range(d + 1, (legs[0] + 1 if legs else 0) + 1):
-            row = sum(1 for j in range(d) if legs[j] + j + 1 >= i)
-            if row:
-                parts.append(row)
-        return cls(parts)
+        rows = tuple(a + i + 1 for i, a in enumerate(arms))
+        # rows below the Durfee square are the conjugate of its columns
+        cols = Partition._trusted(tuple(b + j + 1 for j, b in enumerate(legs)))
+        return cls(rows + cols.conjugate().parts[d:])
 
 
 def _hook_rows(lam: Partition, inner: tuple[int, ...] = ()) -> Iterator[list[int]]:
@@ -330,7 +328,7 @@ def _parse_parts(text: str, what: str) -> Partition:
             raise ShapeParseError(f"{what}: part {pos} must be positive")
         if len(parts) > 1 and parts[-2] < parts[-1]:
             raise ShapeParseError(f"{what}: parts not weakly decreasing at index {pos}")
-    return Partition(parts)
+    return Partition._trusted(tuple(parts))
 
 
 def parse_partition(text: str) -> Partition:
@@ -516,6 +514,8 @@ def parse_family(text: str) -> ShapeFamily:
         key = key.strip()
         if not sep or not key:
             raise ShapeParseError(f"family parameter {pos} is not key=value")
+        if key in params:
+            raise ShapeParseError(f"family parameter '{key}' is given twice")
         if key in _INT_KEYS:
             if not value.strip().lstrip("-").isdigit():
                 raise ShapeParseError(f"family parameter '{key}' must be an integer")

@@ -267,6 +267,20 @@ def staircase_shapes(draw):
     return StableShape(pts, inner)
 
 
+@settings(max_examples=40, deadline=None)
+@given(staircase_shapes(), st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_boundary_matches_reference_bitwise(shape, extra):
+    for b in (shape.outer, shape.inner):
+        # the knots of either curve, their neighbours, a grid and random points
+        knots = [v for pt in b.points for v in pt]
+        near = [np.nextafter(v, d) for v in knots for d in (-1.0, 2.0)]
+        pts = np.array(sorted(set(knots + near + extra + list(np.linspace(0, 1, 101)))))
+        xs = pts[(b.x_min <= pts) & (pts <= b.x_max)]
+        ys = pts[(0.0 <= pts) & (pts <= b.y_max)]
+        assert b(xs).tobytes() == _reference_call(b, xs).tobytes()
+        assert b.inverse(ys).tobytes() == _reference_inverse(b, ys).tobytes()
+
+
 @settings(max_examples=15, deadline=None)
 @given(staircase_shapes())
 def test_block_quadrature_matches_reference_on_staircases(shape):

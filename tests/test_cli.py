@@ -60,6 +60,12 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+def test_repeated_family_parameter_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "count", "thick-ribbon:k=4:k=5")
+    assert code == 2 and out == ""
+    assert "'k' is given twice" in err and "Traceback" not in err
+
+
 def test_resource_cap_exit(capsys):
     code, _, err = run_cli(
         capsys, "excited", "9,9,9,9,9,9/4,4,4,4", "--max-cells", "28223"

@@ -28,6 +28,7 @@ from skewtab.shapes import (
     column_ribbon,
     partitions_of,
     subpartitions,
+    thick_ribbon,
     zigzag,
 )
 from skewtab.verify import skew_shapes
@@ -99,6 +100,14 @@ def test_brute_force():
     assert brute_force_count(zigzag(2)) == 16
     with pytest.raises(CapExceeded):
         brute_force_count(SkewShape([5] * 5), cap=24)
+
+
+def test_brute_force_state_limit(monkeypatch):
+    # k isolated cells reach C(k, k/2) order ideals of size k/2
+    monkeypatch.setattr(exact, "BRUTE_STATE_LIMIT", 100)
+    assert brute_force_count(thick_ribbon(8, 1)) == factorial(8)  # 70 states
+    with pytest.raises(CapExceeded, match="at most 100 order ideals"):
+        brute_force_count(thick_ribbon(9, 1))  # 126 states
 
 
 def test_oracle_agreement_small():

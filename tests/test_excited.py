@@ -130,8 +130,28 @@ def test_characterization_enumerates_the_same_set(small_connected_shapes):
         assert count == len(enumerate_excited(shape))
 
 
+def walked_row_flags(shape: SkewShape) -> list[int]:
+    """Flags by walking down the diagonal through the end of each inner row."""
+    lam = shape.outer.parts
+    flags = []
+    for i, j in enumerate(shape.inner.parts, start=1):
+        t = 0
+        while i + t < len(lam) and lam[i + t] > j + t:  # (i+t+1, j+t+1) in lam
+            t += 1
+        flags.append(i + t)
+    return flags
+
+
 def test_row_flags_golden():
     assert row_flags(GOLDEN) == [2, 3]
+    for shape in skew_shapes(9, connected_only=False):
+        assert row_flags(shape) == walked_row_flags(shape), shape
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+def test_row_flags_match_diagonal_walk(shape):
+    assert row_flags(shape) == walked_row_flags(shape)
 
 
 def test_xi_determinant():

@@ -235,6 +235,8 @@ def test_parse_errors():
         parse_shape("nonsense:k=1")
     with pytest.raises(ShapeParseError):
         parse_shape("2,x")
+    with pytest.raises(ShapeParseError, match="'k' is given twice"):
+        parse_shape("thick-ribbon:k=4:k=5")
 
 
 def test_round_trip_corpus():
@@ -258,7 +260,11 @@ def test_cells_and_membership():
 
 
 def test_frobenius_round_trip():
-    for parts in partitions_of(9):
-        lam = Partition(parts)
-        arms, legs = lam.frobenius()
-        assert Partition.from_frobenius(arms, legs) == lam
+    checked = 0
+    for n in range(16):
+        for parts in partitions_of(n):
+            lam = Partition(parts)
+            arms, legs = lam.frobenius()
+            assert Partition.from_frobenius(arms, legs) == lam
+            checked += 1
+    assert checked == 684

@@ -1,12 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from graphlib import TopologicalSorter
 from pathlib import Path
+
+import pytest
 
 import skewtab
 
 SRC = Path(skewtab.__file__).resolve().parent
+TRACING = SRC.parents[1] / "bench" / "tracing.py"
 
 
 def test_no_assert_statements():
@@ -55,3 +59,21 @@ def test_package_imports_at_module_level_and_acyclic():
     # raises graphlib.CycleError, naming the cycle, if there is one
     tuple(TopologicalSorter(graph).static_order())
     assert graph["cli"] >= {"asymptotics", "bounds", "exact", "excited", "verify"}
+
+
+def test_benchmark_tracer_names_resolve():
+    # a traced benchmark run wraps every name in TRACED and crashes on one
+    # that has gone; tracing.py imports only the standard library
+    if not TRACING.is_file():
+        pytest.skip("no bench/ next to the package source")
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for mod_name, attr, _ in tracing.TRACED:
+        owner = importlib.import_module(f"skewtab.{mod_name}")
+        for part in attr.split("."):  # ShapeFamily.build is a method
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{mod_name}.{attr}")
+    assert missing == []
