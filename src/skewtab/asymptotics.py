@@ -22,13 +22,6 @@ from .excited import xi_determinant
 from .shapes import Partition, ShapeFamily, SkewShape, column_ribbon
 
 
-def log_int(n: int) -> float:
-    """Natural log of a positive integer of any size."""
-    if n <= 0:
-        raise ValueError("log_int needs a positive integer")
-    return log(n)
-
-
 def log_fraction(q: Fraction) -> float:
     if q <= 0:
         raise ValueError("log_fraction needs a positive rational")
@@ -56,7 +49,7 @@ def log_factorial_family(kind: str, n: int) -> LogEstimate:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    exact = log_int(factorials(kind, n))
+    exact = log(factorials(kind, n))
     ln, l2 = log(n), log(2)
     if kind == "factorial":
         est = n * ln - n
@@ -81,7 +74,7 @@ def second_order_constant(shape: SkewShape, exact: int | None = None) -> float:
         raise ValueError("empty shape has no asymptotic constant")
     if exact is None:
         exact = jacobi_trudi_count(shape)
-    return (log_int(exact) - 0.5 * n * log(n)) / n
+    return (log(exact) - 0.5 * n * log(n)) / n
 
 
 @dataclass(frozen=True)
@@ -391,7 +384,7 @@ def subpoly_report(shape: SkewShape) -> SubpolyReport:
     n = shape.size
     width, depth = shape.width_depth()
     prod = shape.hook_product()
-    sum_log_hooks = log_int(prod) if prod > 1 else 0.0
+    sum_log_hooks = log(prod)
     return SubpolyReport(
         n=n,
         width=width,
@@ -424,7 +417,7 @@ def ribbon_rho_terms(k: int, m: int) -> RibbonTermsReport:
     terms = (n * log(n), -n * lm, -n * lm / (2 * m), -n / m)
     estimate = sum(terms)
     exact = jacobi_trudi_count(shape)
-    log_exact = log_int(exact) if exact > 0 else 0.0
+    log_exact = log(exact)
     return RibbonTermsReport(
         k=k, m=m, n=n, terms=terms, estimate=estimate, log_exact=log_exact,
         residual=log_exact - estimate,
@@ -467,10 +460,10 @@ def family_row(kind: str, k: int, **extra) -> FamilyRow:
         family=kind,
         k=k,
         n=n,
-        log_e=log_int(e),
+        log_e=log(e),
         c_k=second_order_constant(shape, exact=e),
         log_F=log_fraction(F),
-        log_xi=log_int(xi),
+        log_xi=log(xi),
         verdict=verdict,
     )
 

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verdict/numeric failure, 2 usage error (including
 a parameter too large for an integer index), 3 resource cap exceeded or out of
 memory, 141 stdout closed by its reader before the output was written (as a
-shell reports a program killed by SIGPIPE, e.g. under `| head`).  Big
-integers are emitted as decimal strings, rationals as "p/q", and output is
+shell reports a program killed by SIGPIPE, e.g. under `| head`).  Integers
+are read in ASCII digits by `shapes.parse_int`.  Big integers of any length
+are emitted as decimal strings, rationals as "p/q", and output is
 deterministic byte-for-byte for identical commands.
 """
 
@@ -149,14 +150,15 @@ def cmd_nhlf(args) -> int:
 
 def _parse_range(spec: str) -> list[int]:
     pieces = spec.split(":")
-    if len(pieces) == 1:
-        return [int(pieces[0])]
-    if len(pieces) == 2:
-        ks = list(range(int(pieces[0]), int(pieces[1]) + 1))
-    elif len(pieces) == 3:
-        ks = list(range(int(pieces[0]), int(pieces[1]) + 1, int(pieces[2])))
-    else:
+    if len(pieces) > 3:
         raise ShapeParseError("range must be K, LO:HI, or LO:HI:STEP")
+    ints = [shapes.parse_int(p, f"--k part {pos}") for pos, p in enumerate(pieces, start=1)]
+    if len(ints) == 1:
+        return ints
+    lo, hi, step = ints if len(ints) == 3 else (*ints, 1)
+    if step == 0:
+        raise ShapeParseError("--k step must not be zero")
+    ks = list(range(lo, hi + 1, step))
     if not ks:
         raise ShapeParseError(f"range {spec!r} is empty")
     return ks
@@ -187,7 +189,7 @@ def cmd_integrate(args) -> int:
         except (OSError, UnicodeDecodeError) as exc:
             raise ShapeParseError(f"cannot read boundary spec: {exc}")
     try:
-        spec = json.loads(raw)
+        spec = json.loads(raw, parse_int=lambda text: shapes.parse_int(text, "spec number"))
     except json.JSONDecodeError as exc:
         raise ShapeParseError(f"bad boundary spec: {exc}")
     if not isinstance(spec, dict) or "outer" not in spec:
@@ -198,10 +200,9 @@ def cmd_integrate(args) -> int:
         raise ShapeParseError(f"boundary points must be [x, y] number pairs: {exc}")
     grid = args.grid
     if grid is None:
-        try:
-            grid = int(spec.get("grid", 512))
-        except (TypeError, ValueError, OverflowError):
-            raise ShapeParseError(f"spec 'grid' must be an integer, got {spec['grid']!r}")
+        grid = spec.get("grid", 512)
+        if type(grid) is not int:  # a JSON float, string or bool is refused
+            raise ShapeParseError("spec 'grid' must be a JSON integer")
     value = asymptotics.hook_integral(shape, grid=grid)
     _emit_json(
         {"grid": grid, "area": _flt(shape.area()), "integral": _flt(value)}
@@ -294,6 +295,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # counts print at any length; shapes.parse_int bounds the integers read
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -317,6 +322,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERDICT
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -314,20 +314,31 @@ class ShapeParseError(ValueError):
     pass
 
 
+def parse_int(text: str, what: str) -> int:
+    """Read CLI text as an integer: ASCII digits with an optional sign, at
+    most 4300 of them (reading more takes quadratic time, and `cli.main`
+    lifts Python's own limit).  Errors name `what`, never the text."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ShapeParseError(f"{what} must be an integer")
+    if len(digits) > 4300:
+        raise ShapeParseError(f"{what} has more than 4300 digits")
+    return int(text)
+
+
 def _parse_parts(text: str, what: str) -> Partition:
     text = text.strip()
     if text in ("", "-"):
         return Partition()
     parts = []
     for pos, token in enumerate(text.split(","), start=1):
-        token = token.strip()
-        if not token.isdigit():
-            raise ShapeParseError(f"{what}: part {pos} is not a positive integer")
-        parts.append(int(token))
-        if parts[-1] == 0:
+        part = parse_int(token, f"{what}: part {pos}")
+        if part < 1:
             raise ShapeParseError(f"{what}: part {pos} must be positive")
-        if len(parts) > 1 and parts[-2] < parts[-1]:
+        if parts and parts[-1] < part:
             raise ShapeParseError(f"{what}: parts not weakly decreasing at index {pos}")
+        parts.append(part)
     return Partition._trusted(tuple(parts))
 
 
@@ -467,25 +478,8 @@ class ShapeFamily:
         except TypeError as exc:
             raise ShapeParseError(f"bad parameters for family '{self.kind}': {exc}") from None
 
-    def label(self) -> str:
-        items = ":".join(f"{k}={_fmt_param(v)}" for k, v in self.params.items())
-        return f"{self.kind}:{items}" if items else self.kind
-
     def __repr__(self) -> str:
-        return f"ShapeFamily({self.label()!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ShapeFamily)
-            and self.kind == other.kind
-            and self.params == other.params
-        )
-
-
-def _fmt_param(v):
-    if isinstance(v, Partition):
-        return ",".join(str(p) for p in v) or "-"
-    return str(v)
+        return f"ShapeFamily({self.kind!r}, **{self.params!r})"
 
 
 FAMILY_BUILDERS = {
@@ -517,9 +511,7 @@ def parse_family(text: str) -> ShapeFamily:
         if key in params:
             raise ShapeParseError(f"family parameter '{key}' is given twice")
         if key in _INT_KEYS:
-            if not value.strip().lstrip("-").isdigit():
-                raise ShapeParseError(f"family parameter '{key}' must be an integer")
-            params[key] = int(value)
+            params[key] = parse_int(value, f"family parameter '{key}'")
         elif key == "sigma":
             params[key] = _parse_parts(value, "sigma")
         else:

@@ -68,7 +68,6 @@ def test_inverted_thick_hook_constant_regression():
     # frozen second-order constants of the inverted thick hooks, from exact
     # arithmetic; both sequences decrease toward the area-normalized limits
     # -1 + log(3)/2 - (c1 + 2 c2)/3 and -1 + log(3)/2 - (2 c1 + c3)/3
-    from skewtab.asymptotics import log_int
     from skewtab.shapes import inverted_thick_hook
 
     c1, c2, c3 = corner_constants()
@@ -81,7 +80,7 @@ def test_inverted_thick_hook_constant_regression():
         shape = inverted_thick_hook(k)
         n = shape.size
         f_const = (log_fraction(naive_hlf(shape)) - 0.5 * n * log(n)) / n
-        e_const = (log_int(jacobi_trudi_count(shape)) - 0.5 * n * log(n)) / n
+        e_const = (log(jacobi_trudi_count(shape)) - 0.5 * n * log(n)) / n
         assert f_const == pytest.approx(f_frozen[k], abs=1e-6)
         assert e_const == pytest.approx(e_frozen[k], abs=1e-6)
         assert f_limit < f_const < prev_f
@@ -335,9 +334,7 @@ def test_subpoly_thick_ribbon_band():
     shape = thick_ribbon(30, 4)
     n = shape.size
     e = jacobi_trudi_count(shape)
-    from skewtab.asymptotics import log_int
-
-    value = (log_int(e) - n * log(n) + n * log(4)) / n
+    value = (log(e) - n * log(n) + n * log(4)) / n
     assert value == pytest.approx(-0.577421, abs=1e-5)  # frozen
     assert -log(2) <= value <= 0.0
 

@@ -9,6 +9,7 @@ import pytest
 
 import skewtab
 from skewtab import asymptotics, cli, excited, shapes, verify
+from skewtab.exact import catalan
 from skewtab.shapes import SkewShape
 from skewtab.verify import SweepResult
 
@@ -64,6 +65,63 @@ def test_repeated_family_parameter_is_a_usage_error(capsys):
     code, out, err = run_cli(capsys, "count", "thick-ribbon:k=4:k=5")
     assert code == 2 and out == ""
     assert "'k' is given twice" in err and "Traceback" not in err
+
+
+SPEC = '{"outer": [[0, 1], [1, 1]], "grid": %s}'
+HUGE = "9" * 5000
+
+# each integer is refused by shapes.parse_int or the JSON 'grid' check,
+# with the part, parameter, option or spec key it came from named
+BAD_INTEGER_ARGV = [
+    (["count", "²"], "part 1"),
+    (["count", "٣"], "part 1"),
+    (["count", "3,٣"], "part 2"),
+    (["count", "square:k=--5"], "'k'"),
+    (["count", "square:k=²"], "'k'"),
+    (["family", "square", "--k", "x"], "--k"),
+    (["family", "square", "--k", "2:x"], "--k"),
+    (["family", "square", "--k", "2:6:0"], "--k"),
+    (["integrate", SPEC % "100.9"], "'grid'"),
+    (["integrate", SPEC % '"128"'], "'grid'"),
+    (["integrate", SPEC % "true"], "'grid'"),
+    (["count", "9" * 4301], "part 1"),
+    (["count", HUGE], "part 1"),
+    (["count", "2,1/" + HUGE], "inner: part 1"),
+    (["count", "square:k=" + HUGE], "'k'"),
+    (["family", "square", "--k", "2:" + HUGE], "--k"),
+    (["lr", "2,1", HUGE, "1"], "part 1"),
+    (["integrate", SPEC % HUGE], "spec number"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_INTEGER_ARGV)
+def test_bad_integers_are_usage_errors(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert named in err and len(err) < 200, err
+    assert "invalid literal" not in err and "range()" not in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no str(int) digit limit before 3.10.7"
+)
+def test_counts_print_at_any_length(capsys):
+    # e = Catalan(7200) has 4,329 digits, past the default limit of 4,300 on
+    # str(int); main lifts the limit and restores it on every return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(catalan(7200))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, _ = run_cli(capsys, "count", "7200,7200")
+    assert code == 0 and json.loads(out)["e"] == want
+    assert sys.get_int_max_str_digits() == limit
+    code, out, _ = run_cli(capsys, "bounds", "7200,7200")
+    assert code == 0 and json.loads(out)["exact"] == want
+    assert sys.get_int_max_str_digits() == limit
+    assert run_cli(capsys, "count", HUGE)[0] == 2
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_resource_cap_exit(capsys):

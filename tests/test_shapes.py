@@ -12,6 +12,7 @@ from skewtab.shapes import (
     column_ribbon,
     inverted_hook,
     inverted_thick_hook,
+    parse_int,
     parse_shape,
     partitions_of,
     regev_vershik_shape,
@@ -237,6 +238,17 @@ def test_parse_errors():
         parse_shape("2,x")
     with pytest.raises(ShapeParseError, match="'k' is given twice"):
         parse_shape("thick-ribbon:k=4:k=5")
+
+
+def test_parse_int():
+    assert parse_int(" 42 ", "x") == 42
+    assert parse_int("-7", "x") == -7 and parse_int("+7", "x") == 7
+    assert parse_int("9" * 4300, "x") == 10**4300 - 1
+    for text in ("", "-", "+-1", "--5", "1_000", "²", "٣", "１", "2.0", "0x10"):
+        with pytest.raises(ShapeParseError, match="^x must be an integer$"):
+            parse_int(text, "x")
+    with pytest.raises(ShapeParseError, match="^x has more than 4300 digits$"):
+        parse_int("-" + "9" * 4301, "x")
 
 
 def test_round_trip_corpus():
