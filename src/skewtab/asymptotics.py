@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, log, sqrt
 
+from .errors import CapExceeded
 from .exact import factorials, jacobi_trudi_count, naive_hlf
 from .excited import xi_determinant
 from .shapes import Partition, ShapeFamily, SkewShape, column_ribbon
@@ -236,6 +237,8 @@ class StableShape:
 
 
 _QUAD_BLOCK = 1 << 14  # grid cells per vectorised block of columns
+GRID_CAP = 1 << 14  # grid columns, checked before any array is allocated
+REFINE_TOL = 1e-3  # largest accepted change from half resolution
 
 
 def _hook_integral_at(shape: StableShape, grid: int) -> float:
@@ -270,21 +273,24 @@ def _hook_integral_at(shape: StableShape, grid: int) -> float:
     return total
 
 
-def hook_integral(shape: StableShape, grid: int = 512, refine_tol: float = 1e-3) -> float:
+def hook_integral(shape: StableShape, grid: int = 512) -> float:
     """Midpoint quadrature of log(arm + leg) over the region between the curves.
 
     The integrand has an integrable log singularity along the outer boundary;
     midpoints never sit on it.  The value at half resolution must agree within
-    refine_tol, otherwise the quadrature is declared non-convergent.  A
-    non-finite difference (inf - inf is NaN) fails the check too.
+    REFINE_TOL, otherwise the quadrature is declared non-convergent.  A
+    non-finite difference (inf - inf is NaN) fails the check too.  The grid is
+    checked against GRID_CAP before any array is allocated.
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
+    if grid > GRID_CAP:
+        raise CapExceeded(f"grid must be <= {GRID_CAP}")
     coarse = _hook_integral_at(shape, grid // 2)
     fine = _hook_integral_at(shape, grid)
-    if not abs(fine - coarse) <= refine_tol:
+    if not abs(fine - coarse) <= REFINE_TOL:
         raise ArithmeticError(
-            f"quadrature not converged: |{fine} - {coarse}| is not <= {refine_tol}"
+            f"quadrature not converged: |{fine} - {coarse}| is not <= {REFINE_TOL}"
         )
     return fine
 

@@ -14,9 +14,9 @@ from math import comb, factorial, prod
 from .errors import CapExceeded
 from .shapes import Cell, Partition, SkewShape, regev_vershik_shape
 
-DEFAULT_BRUTE_CAP = 24
+DEFAULT_BRUTE_CAP = 24  # cells of brute_force_count; lr_coefficient's default cap
 BRUTE_STATE_LIMIT = 200_000  # order ideals of one size; C(20, 10) = 184,756 fit
-DEFAULT_EULER_CAP = 1000
+EULER_CAP = 1000
 
 
 def _exact_quotient(num: int, den: int, what: str) -> int:
@@ -224,21 +224,21 @@ def jacobi_trudi_count(shape: SkewShape) -> int:
 # -- brute force: linear extensions of the cell poset ---------------------------
 
 
-def brute_force_count(shape: SkewShape, cap: int = DEFAULT_BRUTE_CAP) -> int:
+def brute_force_count(shape: SkewShape) -> int:
     """Count standard fillings by dynamic programming over order ideals.
 
     A state records how many cells of each row are filled; it is a valid
     ideal iff the filled prefix of row i never extends past the filled
     prefix of row i-1 (cells increase downward and to the right).
 
-    Two caps: n <= cap cells, checked first, and at most BRUTE_STATE_LIMIT
-    ideals of one size, checked as each new one is found, before it is
-    stored.  Every shape of at most 20 cells fits the second; 24 isolated
+    Two caps: n <= DEFAULT_BRUTE_CAP cells, checked first, and at most
+    BRUTE_STATE_LIMIT ideals of one size, checked as each new one is found,
+    before it is stored.  Every shape of at most 20 cells fits the second; 24 isolated
     cells would need C(24, 12) = 2,704,156 states.
     """
     n = shape.size
-    if n > cap:
-        raise CapExceeded(f"brute-force count needs n <= {cap}, got {n}")
+    if n > DEFAULT_BRUTE_CAP:
+        raise CapExceeded(f"brute-force count needs n <= {DEFAULT_BRUTE_CAP}, got {n}")
     bounds = shape.row_bounds()
     rows = len(bounds)
     if rows == 0:
@@ -275,12 +275,12 @@ def brute_force_count(shape: SkewShape, cap: int = DEFAULT_BRUTE_CAP) -> int:
 # -- classical sequences ---------------------------------------------------------
 
 
-def euler_number(n: int, cap: int = DEFAULT_EULER_CAP) -> int:
+def euler_number(n: int) -> int:
     """Number of alternating permutations of n, by the boustrophedon recurrence."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise CapExceeded(f"euler number needs n <= {cap}, got {n}")
+    if n > EULER_CAP:
+        raise CapExceeded(f"euler number needs n <= {EULER_CAP}, got {n}")
     row = [1]
     for m in range(1, n + 1):
         prev = row

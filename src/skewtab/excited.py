@@ -74,29 +74,32 @@ def _excited_move(lam, occupied, i, j):
 
 
 def is_excited_diagram(shape: SkewShape, diagram) -> bool:
-    """Check the diagonal-count and order-relation characterization."""
+    """Check the diagonal-count and order-relation characterization: the
+    diagram holds as many cells as the inner shape on every diagonal, and
+    matching each inner cell to the diagram cell of the same rank down its
+    diagonal keeps the inner shape's order between neighbours."""
     lam, mu = shape.outer, shape.inner
     cells = [Cell(i, j) for i, j in diagram]
     if len(cells) != mu.size or any(c not in lam for c in cells):
         return False
-    by_diag: dict[int, list[Cell]] = {}
-    for c in sorted(cells):
-        by_diag.setdefault(c.col - c.row, []).append(c)
-    image: dict[Cell, Cell] = {}
-    for c in sorted(mu.cells()):
-        lst = by_diag.get(c.col - c.row)
-        if not lst:
-            return False
-        image[c] = lst.pop(0)
-    if any(lst for lst in by_diag.values()):
+    by_diag, inner = _by_content(cells), _by_content(mu.cells())
+    if any(len(by_diag.get(d, ())) != len(group) for d, group in inner.items()):
         return False
-    for (i, j), target in image.items():
-        for nb in (Cell(i, j + 1), Cell(i + 1, j)):
-            if nb in mu:
-                other = image[nb]
-                if not (target.row <= other.row and target.col <= other.col):
-                    return False
-    return True
+    image = {c: t for d, group in inner.items() for c, t in zip(group, by_diag[d])}
+    return all(
+        image[c].row <= image[nb].row and image[c].col <= image[nb].col
+        for c in image
+        for nb in (Cell(c.row, c.col + 1), Cell(c.row + 1, c.col))
+        if nb in mu
+    )
+
+
+def _by_content(cells) -> dict[int, list[Cell]]:
+    """Cells grouped by content j - i, each group top down."""
+    groups: dict[int, list[Cell]] = {}
+    for c in sorted(cells):
+        groups.setdefault(c.col - c.row, []).append(c)
+    return groups
 
 
 def row_flags(shape: SkewShape) -> list[int]:
@@ -367,42 +370,22 @@ def _strip_count(shape: SkewShape) -> int:
 def paths_from_diagram(shape: SkewShape, diagram) -> PathFamily:
     """Decompose the complement of an excited diagram into its path family.
 
-    The starts and ends are those of the canonical border-strip decomposition
-    of the skew shape itself; the complement of any excited diagram splits
-    uniquely into non-intersecting monotone paths joining them.  Paths are
-    traced innermost first (by start column): from each cell the path climbs
-    when the cell above is free and not blocked diagonally, else moves right.
+    The complement holds as many cells as the skew shape on every diagonal
+    (Morales-Pak-Panova).  Sending each skew cell to the free cell of the
+    same rank down its diagonal carries every border strip of
+    `border_strip_decomposition` to a path with the same start and end, and
+    these paths are the unique non-intersecting family covering the
+    complement.
     """
     if not is_excited_diagram(shape, diagram):
         raise ValueError("not an excited diagram of this shape")
-    base = border_strip_decomposition(shape)
-    expected_end = {p[0]: p[-1] for p in base}
-    remaining = {Cell(i, j) for i, j in shape.outer.cells()}
-    remaining -= {Cell(i, j) for i, j in diagram}
-    paths = []
-    for start in sorted(expected_end, key=lambda c: (c.col, c.row)):
-        if start not in remaining:
-            raise ValueError(f"path start {start} covered by the diagram")
-        path = [start]
-        remaining.remove(start)
-        while True:
-            i, j = path[-1]
-            up, right = Cell(i - 1, j), Cell(i, j + 1)
-            if up in remaining and (i - 1, j - 1) not in remaining:
-                nxt = up
-            elif right in remaining:
-                nxt = right
-            else:
-                break
-            path.append(nxt)
-            remaining.remove(nxt)
-        if path[-1] != expected_end[start]:
-            raise ValueError(f"path from {start} ended at {path[-1]}")
-        paths.append(tuple(path))
-    if remaining:
-        raise ValueError("path decomposition did not cover the complement")
-    paths.sort(key=lambda p: p[0])
-    return PathFamily(tuple(paths))
+    taken = {Cell(i, j) for i, j in diagram}
+    free = _by_content(c for c in shape.outer.cells() if c not in taken)
+    image = {
+        c: f for d, group in _by_content(shape.cells()).items() for c, f in zip(group, free[d])
+    }
+    strips = border_strip_decomposition(shape)
+    return PathFamily(tuple(tuple(image[c] for c in strip) for strip in strips))
 
 
 def xi_bounds(shape: SkewShape) -> tuple[int, int]:

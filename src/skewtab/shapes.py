@@ -241,9 +241,13 @@ class SkewShape:
         return all(rows[i][0] < rows[i + 1][1] for i in range(nonempty[0], nonempty[-1]))
 
     def is_ribbon_hook(self) -> bool:
-        """At most one cell on every diagonal j - i."""
-        diags = Counter(j - i for i, j in self.cells())
-        return all(v <= 1 for v in diags.values())
+        """At most one cell on every diagonal j - i.
+
+        A diagonal holds two cells iff some skew cell (i, j) has (i + 1, j + 1)
+        below it, which happens iff outer_{i+1} - inner_i >= 2.
+        """
+        rows = self.row_bounds()
+        return all(hi - lo <= 1 for (lo, _), (_, hi) in zip(rows, rows[1:]))
 
     def antidiagonal_ranks(self) -> tuple[int, ...]:
         """Cell counts per antidiagonal i + j, indexed from the first occupied one.
@@ -415,21 +419,17 @@ def column_ribbon(k: int, m: int) -> SkewShape:
     """The ribbon hook with k columns, all of length m (n = k*m cells).
 
     Consecutive columns overlap in exactly one row; column k sits on top.
+    Column c covers rows (k - c)(m - 1) + 1 to (k - c)(m - 1) + m, so row r
+    ends in column k - ceil((r - m) / (m - 1)) and starts in column
+    k - floor((r - 1) / (m - 1)), each kept between 1 and k.
     """
     if k < 1 or m < 1:
         raise ValueError("ribbon parameters must be >= 1")
-    nrows = (k - 1) * (m - 1) + m if m > 1 else 1
     if m == 1:
         return SkewShape([k])
-    outer, inner = [], []
-    for i in range(1, nrows + 1):
-        cols = [
-            c
-            for c in range(1, k + 1)
-            if (k - c) * (m - 1) + 1 <= i <= (k - c) * (m - 1) + m
-        ]
-        outer.append(max(cols))
-        inner.append(min(cols) - 1)
+    rows = range(1, (k - 1) * (m - 1) + m + 1)
+    outer = [k - max(0, -((m - r) // (m - 1))) for r in rows]
+    inner = [k - 1 - min(k - 1, (r - 1) // (m - 1)) for r in rows]
     return SkewShape(outer, inner)
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewtab import asymptotics
 from skewtab.asymptotics import (
+    GRID_CAP,
     StableShape,
     _hook_integral_at,
     TvkData,
@@ -23,6 +25,7 @@ from skewtab.asymptotics import (
     tvk_skew_shape,
     unit_box_log_integral,
 )
+from skewtab.errors import CapExceeded
 from skewtab.exact import euler_number, jacobi_trudi_count, naive_hlf
 from skewtab.excited import proctor_xi
 from skewtab.shapes import SkewShape, column_ribbon, square_shape, thick_ribbon
@@ -148,15 +151,27 @@ def test_hook_integral_rotation_coherence():
     assert lower < exact < upper
 
 
-def test_hook_integral_errors():
+def test_hook_integral_errors(monkeypatch):
     with pytest.raises(ValueError):
         hook_integral(StableShape.unit_square(), 32)
     with pytest.raises(ValueError):
         StableShape([(0, 1), (1, 2)])  # increasing boundary
     with pytest.raises(ValueError):
         StableShape([(0.0, 1.0), (1.0, 1.0)], [(0.0, 2.0), (1.0, 2.0)])
+    monkeypatch.setattr(asymptotics, "REFINE_TOL", 1e-15)
     with pytest.raises(ArithmeticError):  # refinement guard fires on absurd tolerance
-        hook_integral(StableShape.unit_square(), 128, refine_tol=1e-15)
+        hook_integral(StableShape.unit_square(), 128)
+
+
+def test_hook_integral_grid_cap_checked_first(monkeypatch):
+    def allocate(*args):
+        raise AssertionError("quadrature ran past the grid cap")
+
+    monkeypatch.setattr(asymptotics, "_hook_integral_at", allocate)
+    with pytest.raises(CapExceeded, match=f"grid must be <= {GRID_CAP}"):
+        hook_integral(StableShape.unit_square(), GRID_CAP + 1)
+    with pytest.raises(CapExceeded):
+        hook_integral(StableShape.unit_square(), 10**20)
 
 
 def test_containment_is_checked_between_samples():

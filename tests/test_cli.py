@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -141,6 +142,21 @@ def test_excited_and_paths(capsys):
     assert len(doc["paths"]) == 2
 
 
+# sha256 of `skewtab excited SHAPE --paths` stdout; the last shape is disconnected
+EXCITED_PATHS_DIGESTS = {
+    "5,4,4,1/2,1": "6a0314f72ce8461f27a7f3ab31ef0824059b7c5a238a502ebc977a957a83f159",
+    "4,4,3,2/2,1": "0cd91720658d7c5bd88e5138158eb64231aa29e251b0694ab820f127b51ba29d",
+    "4,4,4,1/3,3,1": "461b5a4e1008a304599228246e4bc970697fa409f84f9789e56146510624c3db",
+}
+
+
+def test_excited_paths_digests(capsys):
+    for shape, digest in EXCITED_PATHS_DIGESTS.items():
+        code, out, err = run_cli(capsys, "excited", shape, "--paths")
+        assert (code, err) == (0, ""), shape
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, shape
+
+
 def test_excited_render(capsys):
     code, out, _ = run_cli(capsys, "excited", "2,2/1", "--render")
     assert code == 0
@@ -242,11 +258,27 @@ def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
     monkeypatch.setattr(asymptotics, "_hook_integral_at", exhausted)
     for argv in (
         ["count", "square:k=99999999999"],
-        ["integrate", '{"outer": [[0,1],[1,1]], "grid": 99999999999}'],
+        ["integrate", '{"outer": [[0,1],[1,1]], "grid": 4096}'],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3, argv
         assert (out, err) == ("", "error: out of memory\n"), argv
+
+
+def test_grid_over_cap_is_a_resource_error(monkeypatch, capsys):
+    def quadrature(*args):
+        raise AssertionError("quadrature ran past the grid cap")
+
+    monkeypatch.setattr(asymptotics, "_hook_integral_at", quadrature)
+    huge = "99999999999999999999"
+    for argv in (
+        ["integrate", SPEC % huge],
+        ["integrate", '{"outer": [[0,1],[1,1]]}', "--grid", huge],
+        ["integrate", SPEC % (asymptotics.GRID_CAP + 1)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert (out, err) == ("", f"error: grid must be <= {asymptotics.GRID_CAP}\n"), argv
 
 
 # 10**20 does not fit an index, so these overflow before anything is allocated

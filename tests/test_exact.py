@@ -99,7 +99,7 @@ def test_brute_force():
     assert brute_force_count(SkewShape([1])) == 1
     assert brute_force_count(zigzag(2)) == 16
     with pytest.raises(CapExceeded):
-        brute_force_count(SkewShape([5] * 5), cap=24)
+        brute_force_count(SkewShape([5] * 5))  # 25 cells
 
 
 def test_brute_force_state_limit(monkeypatch):
@@ -120,12 +120,14 @@ def test_oracle_agreement_small():
     assert checked == 1495
 
 
-def test_jacobi_trudi_tall_shapes():
-    # taller than wide, so the determinant is taken on the conjugate side
+def test_jacobi_trudi_tall_shapes(monkeypatch):
+    # taller than wide, so the determinant is taken on the conjugate side;
+    # the 30-cell ribbon needs the brute-force cap raised
+    monkeypatch.setattr(exact, "DEFAULT_BRUTE_CAP", 30)
     for k, m in ((3, 4), (4, 5), (3, 8), (5, 6)):
         shape = column_ribbon(k, m)
         assert shape.outer.part(1) < len(shape.outer)
-        assert jacobi_trudi_count(shape) == brute_force_count(shape, cap=shape.size)
+        assert jacobi_trudi_count(shape) == brute_force_count(shape)
     assert jacobi_trudi_count(column_ribbon(8, 2)) == euler_number(16)
     rect = Partition([12] * 40)
     assert jacobi_trudi_count(SkewShape(rect)) == hlf_count(rect)
@@ -149,12 +151,16 @@ def test_soundness_checks_raise(monkeypatch):
         jacobi_trudi_count(SkewShape([4, 4, 3, 2], [2, 1]))
 
 
-def test_euler_numbers():
+def test_euler_numbers(monkeypatch):
     assert [euler_number(n) for n in range(8)] == [1, 1, 1, 2, 5, 16, 61, 272]
     assert euler_number(5) == brute_force_count(zigzag(2))
     assert euler_number(7) == brute_force_count(zigzag(3))
+    with pytest.raises(CapExceeded, match="n <= 1000, got 1001"):
+        euler_number(1001)
+    monkeypatch.setattr(exact, "EULER_CAP", 10)
+    assert euler_number(10) == 50521
     with pytest.raises(CapExceeded):
-        euler_number(50, cap=10)
+        euler_number(50)
 
 
 def test_catalan():

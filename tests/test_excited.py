@@ -101,10 +101,22 @@ def test_enumeration_cap_checked_before_work(monkeypatch):
 
 
 def test_diagram_characterization():
-    # wrong diagonal count
-    assert not is_excited_diagram(GOLDEN, [(1, 1), (1, 2)])
-    # right diagonals, broken order relation is impossible to fake with 3 cells
     assert is_excited_diagram(GOLDEN, [(1, 1), (1, 2), (2, 1)])
+    excited_set = set(enumerate_excited(GOLDEN))
+    rejected = {
+        "too few cells": [(1, 1), (1, 2)],
+        "cell outside the outer shape": [(1, 1), (1, 2), (2, 5)],
+        "repeated cell": [(1, 1), (1, 2), (1, 2)],
+        "wrong per-diagonal counts": [(1, 1), (1, 2), (1, 3)],
+        # one cell on each of the inner diagonals, but the image of (1, 1)
+        # sits below the image of its right neighbour (1, 2)
+        "broken order relation": [(2, 2), (1, 2), (3, 2)],
+    }
+    for case, diagram in rejected.items():
+        assert tuple(sorted(diagram)) not in excited_set, case
+        assert not is_excited_diagram(GOLDEN, diagram), case
+        with pytest.raises(ValueError, match="not an excited diagram"):
+            paths_from_diagram(GOLDEN, diagram)
 
 
 def test_characterization_enumerates_the_same_set(small_connected_shapes):
@@ -369,6 +381,57 @@ def test_paths_injective_and_fixed_endpoints():
     assert len(endpoints) == 1  # start/end cells do not depend on the diagram
     for fam in families:
         assert sum(len(p) for p in fam.paths) == shape.outer.size - shape.inner.size
+
+
+def traced_paths(shape: SkewShape, diagram) -> excited.PathFamily:
+    """The path family by tracing: innermost start first (by column), each
+    path climbs when the cell above is free and not blocked diagonally,
+    else moves right, until it is stuck."""
+    ends = {strip[0]: strip[-1] for strip in border_strip_decomposition(shape)}
+    remaining = set(shape.outer.cells()) - {Cell(i, j) for i, j in diagram}
+    paths = []
+    for start in sorted(ends, key=lambda c: (c.col, c.row)):
+        assert start in remaining, (shape, diagram, start)
+        path = [start]
+        remaining.remove(start)
+        while True:
+            i, j = path[-1]
+            up, right = Cell(i - 1, j), Cell(i, j + 1)
+            if up in remaining and (i - 1, j - 1) not in remaining:
+                nxt = up
+            elif right in remaining:
+                nxt = right
+            else:
+                break
+            path.append(nxt)
+            remaining.remove(nxt)
+        assert path[-1] == ends[start], (shape, diagram, start)
+        paths.append(tuple(path))
+    assert not remaining, (shape, diagram)
+    return excited.PathFamily(tuple(sorted(paths)))
+
+
+def test_paths_match_tracer_exhaustive():
+    # every excited diagram of every skew shape with |outer| <= 9
+    checked = 0
+    for shape in skew_shapes(9, connected_only=False):
+        for d in enumerate_excited(shape):
+            assert paths_from_diagram(shape, d) == traced_paths(shape, d), (shape, d)
+            checked += 1
+    assert checked == 1741
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_skew_shapes(30, connected=False))
+def test_paths_match_tracer(shape):
+    # xi * |inner| <= 2,000 cells keeps the enumeration cheap; the cap error
+    # comes before any diagram is listed
+    try:
+        diagrams = enumerate_excited(shape, cap=2000)
+    except CapExceeded:
+        diagrams = [tuple(sorted(shape.inner.cells())), top_excited_diagram(shape)]
+    for d in diagrams:
+        assert paths_from_diagram(shape, d) == traced_paths(shape, d)
 
 
 def test_xi_bounds(small_connected_shapes):

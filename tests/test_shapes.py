@@ -1,5 +1,5 @@
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -24,6 +24,7 @@ from skewtab.shapes import (
     thick_ribbon,
     zigzag,
 )
+from skewtab.verify import skew_shapes
 
 
 def test_partition_validation():
@@ -142,6 +143,35 @@ def test_column_ribbon():
     for i, j in shape.cells():
         cols[j] = cols.get(j, 0) + 1
     assert cols == {1: 3, 2: 3, 3: 3, 4: 3}
+
+
+def scanned_column_ribbon(k: int, m: int) -> SkewShape:
+    """The ribbon by scanning, for every row, which columns cover it."""
+    if m == 1:
+        return SkewShape([k])
+    outer, inner = [], []
+    for i in range(1, (k - 1) * (m - 1) + m + 1):
+        cols = [c for c in range(1, k + 1) if (k - c) * (m - 1) < i <= (k - c) * (m - 1) + m]
+        outer.append(max(cols))
+        inner.append(min(cols) - 1)
+    return SkewShape(outer, inner)
+
+
+def test_column_ribbon_matches_column_scan():
+    for k in range(1, 15):
+        for m in range(1, 9):
+            assert column_ribbon(k, m) == scanned_column_ribbon(k, m), (k, m)
+
+
+def test_ribbon_hook_matches_diagonal_counts():
+    # every skew shape with |outer| <= 11, disconnected ones included
+    checked = 0
+    for shape in skew_shapes(11, connected_only=False):
+        per_diagonal = Counter(j - i for i, j in shape.cells())
+        assert shape.is_ribbon_hook() == (max(per_diagonal.values()) <= 1), shape
+        checked += 1
+    assert checked == 4894
+    assert SkewShape([]).is_ribbon_hook()
 
 
 def test_regev_vershik_shape():
