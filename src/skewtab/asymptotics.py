@@ -363,9 +363,18 @@ def _floored_coords(firsts, seconds, n):
 
 
 def tvk_skew_shape(data: TvkData, n: int) -> SkewShape:
-    """The discretized shape at scale n: Frobenius coordinates floor(coord * n)."""
-    outer = Partition.from_frobenius(*_floored_coords(data.alpha, data.beta, n))
-    inner = Partition.from_frobenius(*_floored_coords(data.pi, data.tau, n))
+    """The discretized shape at scale n: Frobenius coordinates floor(coord * n).
+
+    Two outer coordinates may floor to one value and drop a diagonal that
+    the inner shape keeps, so the inner keeps at most as many diagonals as
+    the outer.  Its kept coordinates are at most the outer's, as pi <= alpha
+    and tau <= beta, so it lies inside.
+    """
+    arms, legs = _floored_coords(data.alpha, data.beta, n)
+    inner_arms, inner_legs = _floored_coords(data.pi, data.tau, n)
+    d = len(arms)
+    outer = Partition.from_frobenius(arms, legs)
+    inner = Partition.from_frobenius(inner_arms[:d], inner_legs[:d])
     return SkewShape(outer, inner)
 
 

@@ -16,7 +16,7 @@ from math import comb, factorial, prod
 from .asymptotics import log_fraction
 from .exact import _exact_quotient, jacobi_trudi_count, naive_hlf
 from .excited import xi_determinant
-from .shapes import Cell, SkewShape
+from .shapes import SkewShape
 
 
 def antidiagonal_chains(shape: SkewShape) -> "ChainDecomposition":
@@ -26,16 +26,16 @@ def antidiagonal_chains(shape: SkewShape) -> "ChainDecomposition":
     comparable, so every nonempty pair contributes one chain.  The partition
     is valid for every skew shape; it is not claimed optimal.
     """
-    groups: dict[int, list[Cell]] = {}
-    for c in shape.cells():  # reading order, so every group comes out sorted
-        groups.setdefault((c.col - c.row) // 2, []).append(c)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, j in shape.cells():  # reading order, so every group comes out sorted
+        groups.setdefault((j - i) // 2, []).append((i, j))
     chains = sorted(map(tuple, groups.values()), key=lambda c: (-len(c), c[0]))
     return ChainDecomposition(tuple(chains))
 
 
 @dataclass(frozen=True)
 class ChainDecomposition:
-    chains: tuple[tuple[Cell, ...], ...]
+    chains: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -60,12 +60,12 @@ def chain_upper(shape: SkewShape, decomposition: ChainDecomposition | None = Non
 
 
 def _validate_chains(shape: SkewShape, decomposition: ChainDecomposition) -> None:
-    seen: set[Cell] = set()
+    seen: set[tuple[int, int]] = set()
     for chain in decomposition.chains:
         cells = sorted(chain)
-        for a, b in zip(cells, cells[1:]):
-            if not (a.row <= b.row and a.col <= b.col):
-                raise ValueError(f"cells {a} and {b} are incomparable within a chain")
+        for (i, j), (k, m) in zip(cells, cells[1:]):
+            if not (i <= k and j <= m):
+                raise ValueError(f"cells {(i, j)} and {(k, m)} are incomparable within a chain")
         if not seen.isdisjoint(cells):
             raise ValueError("chains overlap")
         seen.update(cells)
@@ -94,11 +94,11 @@ def _suffix_sums(shape: SkewShape):
         yield below[lo + 1 : hi + 1]
 
 
-def upper_ideal_sizes(shape: SkewShape) -> dict[Cell, int]:
+def upper_ideal_sizes(shape: SkewShape) -> dict[tuple[int, int], int]:
     """For each cell, the number of cells weakly below and to the right."""
     rows = reversed(list(_suffix_sums(shape)))
     return {
-        Cell(i, j): size
+        (i, j): size
         for i, ((lo, _), sizes) in enumerate(zip(shape.row_bounds(), rows), start=1)
         for j, size in enumerate(sizes, lo + 1)
     }

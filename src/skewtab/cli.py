@@ -46,6 +46,14 @@ def _resolve_shape(text: str) -> SkewShape:
     return parsed
 
 
+def _cap(text: str, flag: str) -> int:
+    """A cap option: a nonnegative integer."""
+    cap = shapes.parse_int(text, flag)
+    if cap < 0:
+        raise ShapeParseError(f"{flag} must not be negative")
+    return cap
+
+
 def _emit_json(doc) -> None:
     print(json.dumps(doc, indent=2))
 
@@ -103,7 +111,7 @@ def cmd_bounds(args) -> int:
 
 def _render_grid(shape: SkewShape, diagram) -> str:
     lam = shape.outer
-    occupied = set(map(tuple, diagram))
+    occupied = set(diagram)
     lines = []
     for i in range(1, len(lam) + 1):
         row = "".join(
@@ -115,7 +123,7 @@ def _render_grid(shape: SkewShape, diagram) -> str:
 
 def cmd_excited(args) -> int:
     shape = _resolve_shape(args.shape)
-    diagrams = excited.enumerate_excited(shape, cap=args.max_cells)
+    diagrams = excited.enumerate_excited(shape, cap=_cap(args.max_cells, "--max-cells"))
     if args.render:
         print("\n\n".join(_render_grid(shape, d) for d in diagrams))
         return EXIT_OK
@@ -168,7 +176,7 @@ def cmd_family(args) -> int:
     ks = _parse_range(args.k)
     extra = {}
     if args.m is not None:
-        extra["m"] = args.m
+        extra["m"] = shapes.parse_int(args.m, "--m")
     rows = asymptotics.family_report(args.family, ks, **extra)
     lines = ["family,k,n,log_e_exact,c_k,logF,logXi,verdict"]
     for r in rows:
@@ -198,8 +206,9 @@ def cmd_integrate(args) -> int:
         shape = asymptotics.StableShape(spec["outer"], spec.get("inner"))
     except TypeError as exc:
         raise ShapeParseError(f"boundary points must be [x, y] number pairs: {exc}")
-    grid = args.grid
-    if grid is None:
+    if args.grid is not None:
+        grid = shapes.parse_int(args.grid, "--grid")
+    else:
         grid = spec.get("grid", 512)
         if type(grid) is not int:  # a JSON float, string or bool is refused
             raise ShapeParseError("spec 'grid' must be a JSON integer")
@@ -214,18 +223,19 @@ def cmd_lr(args) -> int:
     lam = shapes.parse_partition(args.outer)
     mu = shapes.parse_partition(args.mu)
     nu = shapes.parse_partition(args.nu)
-    c = exact.lr_coefficient(lam, mu, nu, cap=args.max_brute)
+    c = exact.lr_coefficient(lam, mu, nu, cap=_cap(args.max_brute, "--max-brute"))
     _emit_json({"lr": _num(c)})
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if args.max_size < 1:
-        raise ShapeParseError(f"--max-size must be at least 1, got {args.max_size}")
+    max_size = shapes.parse_int(args.max_size, "--max-size")
+    if max_size < 1:
+        raise ShapeParseError(f"--max-size must be at least 1, got {max_size}")
     groups = tuple(g.strip() for g in args.groups.split(",") if g.strip())
     if not groups:
         raise ShapeParseError(f"--groups names no sweep: {args.groups!r}")
-    results = verify.run_suite(max_size=args.max_size, groups=groups)
+    results = verify.run_suite(max_size=max_size, groups=groups)
     failed = False
     for res in results:
         status = "ok" if res.ok else f"{len(res.failures)} failures"
@@ -264,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     view = p.add_mutually_exclusive_group()
     view.add_argument("--paths", action="store_true", help="include path families")
     view.add_argument("--render", action="store_true", help="plain-text grids")
-    p.add_argument("--max-cells", type=int, default=excited.DEFAULT_CELL_CAP,
+    p.add_argument("--max-cells", default=str(excited.DEFAULT_CELL_CAP),
                    help="cap on xi * |inner|, the cells the enumeration stores")
 
     p = add("nhlf", cmd_nhlf, "count through the excited hook sum")
@@ -273,20 +283,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("family", cmd_family, "CSV report over a parametric family")
     p.add_argument("family", choices=sorted(shapes.FAMILY_BUILDERS))
     p.add_argument("--k", required=True, help="K, LO:HI or LO:HI:STEP")
-    p.add_argument("--m", type=int, default=None, help="extra column-length parameter")
+    p.add_argument("--m", default=None, help="extra column-length parameter")
 
     p = add("integrate", cmd_integrate, "hook integral of a piecewise-linear shape")
     p.add_argument("spec", help="JSON file path or inline JSON")
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", default=None)
 
     p = add("lr", cmd_lr, "Littlewood-Richardson coefficient")
     p.add_argument("outer")
     p.add_argument("mu")
     p.add_argument("nu")
-    p.add_argument("--max-brute", type=int, default=exact.DEFAULT_BRUTE_CAP)
+    p.add_argument("--max-brute", default=str(exact.DEFAULT_BRUTE_CAP))
 
     p = add("verify", cmd_verify, "run the exhaustive small-shape sweeps")
-    p.add_argument("--max-size", type=int, default=8)
+    p.add_argument("--max-size", default="8")
     p.add_argument("--groups", default="oracles,bounds")
 
     return parser

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .errors import CapExceeded
-from .shapes import Cell, Partition, SkewShape, regev_vershik_shape
+from .shapes import Partition, SkewShape, regev_vershik_shape
 
 DEFAULT_BRUTE_CAP = 24  # cells of brute_force_count; lr_coefficient's default cap
 BRUTE_STATE_LIMIT = 200_000  # order ideals of one size; C(20, 10) = 184,756 fit
@@ -315,10 +315,10 @@ def lr_coefficient(lam, mu, nu, cap: int = DEFAULT_BRUTE_CAP) -> int:
     # cells in reverse reading order: rows top to bottom, right to left
     order = []
     for i, (lo, hi) in enumerate(shape.row_bounds(), start=1):
-        order.extend(Cell(i, j) for j in range(hi, lo, -1))
+        order.extend((i, j) for j in range(hi, lo, -1))
     nparts = len(nu)
     quota = [nu.part(v) for v in range(1, nparts + 1)]
-    filling: dict[Cell, int] = {}
+    filling: dict[tuple[int, int], int] = {}
     seen = [0] * (nparts + 1)
 
     def backtrack(idx: int) -> int:
@@ -327,10 +327,10 @@ def lr_coefficient(lam, mu, nu, cap: int = DEFAULT_BRUTE_CAP) -> int:
         i, j = order[idx]
         lo_v = 1
         hi_v = nparts
-        right = filling.get(Cell(i, j + 1))
+        right = filling.get((i, j + 1))
         if right is not None:
             hi_v = min(hi_v, right)
-        above = filling.get(Cell(i - 1, j))
+        above = filling.get((i - 1, j))
         if above is not None:
             lo_v = max(lo_v, above + 1)
         total = 0
@@ -340,9 +340,9 @@ def lr_coefficient(lam, mu, nu, cap: int = DEFAULT_BRUTE_CAP) -> int:
             if v > 1 and seen[v] >= seen[v - 1]:
                 continue  # lattice word condition
             seen[v] += 1
-            filling[Cell(i, j)] = v
+            filling[i, j] = v
             total += backtrack(idx + 1)
-            del filling[Cell(i, j)]
+            del filling[i, j]
             seen[v] -= 1
         return total
 

@@ -24,11 +24,11 @@ from .exact import (
     schur_principal,
     superfactorial,
 )
-from .shapes import Cell, Partition, SkewShape
+from .shapes import Partition, SkewShape, _hook_rows
 
 DEFAULT_CELL_CAP = 10**8
 
-Diagram = tuple[Cell, ...]
+Diagram = tuple[tuple[int, int], ...]
 
 
 def enumerate_excited(shape: SkewShape, cap: int = DEFAULT_CELL_CAP) -> list[Diagram]:
@@ -69,7 +69,7 @@ def _excited_move(lam, occupied, i, j):
             return None
     new = set(occupied)
     new.remove((i, j))
-    new.add(Cell(i + 1, j + 1))
+    new.add((i + 1, j + 1))
     return tuple(sorted(new))
 
 
@@ -79,7 +79,7 @@ def is_excited_diagram(shape: SkewShape, diagram) -> bool:
     matching each inner cell to the diagram cell of the same rank down its
     diagonal keeps the inner shape's order between neighbours."""
     lam, mu = shape.outer, shape.inner
-    cells = [Cell(i, j) for i, j in diagram]
+    cells = [(i, j) for i, j in diagram]
     if len(cells) != mu.size or any(c not in lam for c in cells):
         return False
     by_diag, inner = _by_content(cells), _by_content(mu.cells())
@@ -87,18 +87,19 @@ def is_excited_diagram(shape: SkewShape, diagram) -> bool:
         return False
     image = {c: t for d, group in inner.items() for c, t in zip(group, by_diag[d])}
     return all(
-        image[c].row <= image[nb].row and image[c].col <= image[nb].col
-        for c in image
-        for nb in (Cell(c.row, c.col + 1), Cell(c.row + 1, c.col))
+        a <= b
+        for i, j in image
+        for nb in ((i, j + 1), (i + 1, j))
         if nb in mu
+        for a, b in zip(image[i, j], image[nb])
     )
 
 
-def _by_content(cells) -> dict[int, list[Cell]]:
+def _by_content(cells) -> dict[int, list[tuple[int, int]]]:
     """Cells grouped by content j - i, each group top down."""
-    groups: dict[int, list[Cell]] = {}
-    for c in sorted(cells):
-        groups.setdefault(c.col - c.row, []).append(c)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for i, j in sorted(cells):
+        groups.setdefault(j - i, []).append((i, j))
     return groups
 
 
@@ -178,13 +179,13 @@ def _flag_hook_sum(shape: SkewShape) -> tuple[int, int]:
     north steps weigh 1.  The flags never decrease down the rows, so the
     non-intersecting families are the flagged tableaux (Wachs).
     """
-    lam, mu = shape.outer, shape.inner.parts
-    den = lam.hook_product()
+    mu = shape.inner.parts
+    rows = list(_hook_rows(shape.outer))  # rows[y - 1][j - 1] = h(y, j)
+    den = prod(map(prod, rows))
     if not mu:
         return 1, den
     flags = row_flags(shape)
     top = flags[-1]
-    parts, cols = lam.parts, lam.conjugate().parts
     sinks: dict[int, list[tuple[int, int]]] = {}
     for k, (m, f) in enumerate(zip(mu, flags)):
         sinks.setdefault(m - k - 1, []).append((k, f))
@@ -196,8 +197,8 @@ def _flag_hook_sum(shape: SkewShape) -> tuple[int, int]:
     for x in range(1 - len(mu), mu[0]):
         first = y = max(1, 1 - x)
         hooks = []
-        while y <= top and parts[y - 1] >= x + y:
-            hooks.append(parts[y - 1] + cols[x + y - 1] - 2 * y - x + 1)
+        while y <= top and x + y <= len(rows[y - 1]):
+            hooks.append(rows[y - 1][x + y - 1])
             y += 1
         diagonals[x] = (first, hooks)
     mat = []
@@ -249,7 +250,7 @@ def _path_determinant(lam: Partition, strips, weight) -> int:
     return _bareiss_det([_path_sums(lam, weight, strip[0], ends) for strip in strips])
 
 
-def _path_sums(lam: Partition, weight, start: Cell, ends) -> list[int]:
+def _path_sums(lam: Partition, weight, start: tuple[int, int], ends) -> list[int]:
     """Weighted number of up/right paths in lam from start to each end."""
     r0, c0 = start
     total = {(r0, c0 - 1): 1}  # a unit source entering the start from the left
@@ -302,13 +303,13 @@ class PathFamily:
     """Non-intersecting monotone paths whose union is the complement of an
     excited diagram inside the outer shape."""
 
-    paths: tuple[tuple[Cell, ...], ...]
+    paths: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def support(self) -> frozenset:
         return frozenset(c for p in self.paths for c in p)
 
-    def endpoints(self) -> tuple[tuple[Cell, Cell], ...]:
+    def endpoints(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         return tuple((p[0], p[-1]) for p in self.paths)
 
 
@@ -336,7 +337,7 @@ def _diagonals(shape: SkewShape) -> tuple[list[int], list[int]]:
     return starts, rises
 
 
-def border_strip_decomposition(shape: SkewShape) -> list[tuple[Cell, ...]]:
+def border_strip_decomposition(shape: SkewShape) -> list[tuple[tuple[int, int], ...]]:
     """The unique decomposition of the skew cells into border strips, each
     running from the bottom of a column to the end of a row, sorted by start.
 
@@ -348,7 +349,7 @@ def border_strip_decomposition(shape: SkewShape) -> list[tuple[Cell, ...]]:
     rows = len(shape.outer)
     top, count = rows + 1, 0  # diagonal c's first row and number of cells
     strips = []
-    run: list[list[Cell]] = []  # run[d - 1]: the open strip of depth d
+    run: list[list[tuple[int, int]]] = []  # run[d - 1]: the open strip of depth d
     for c, (started, rise) in enumerate(zip(*_diagonals(shape)), start=1 - rows):
         top -= started
         count += rise
@@ -357,7 +358,7 @@ def border_strip_decomposition(shape: SkewShape) -> list[tuple[Cell, ...]]:
             run.append([])
             strips.append(run[-1])
         for i, strip in enumerate(run, start=top):
-            strip.append(Cell(i, i + c))
+            strip.append((i, i + c))
     return sorted(map(tuple, strips))
 
 
@@ -379,7 +380,7 @@ def paths_from_diagram(shape: SkewShape, diagram) -> PathFamily:
     """
     if not is_excited_diagram(shape, diagram):
         raise ValueError("not an excited diagram of this shape")
-    taken = {Cell(i, j) for i, j in diagram}
+    taken = {(i, j) for i, j in diagram}
     free = _by_content(c for c in shape.outer.cells() if c not in taken)
     image = {
         c: f for d, group in _by_content(shape.cells()).items() for c, f in zip(group, free[d])

@@ -10,12 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, chain, zip_longest
 from math import prod
-from typing import Iterator, NamedTuple
-
-
-class Cell(NamedTuple):
-    row: int
-    col: int
+from typing import Iterator
 
 
 class Partition:
@@ -88,10 +83,10 @@ class Partition:
     def contains(self, other: "Partition") -> bool:
         return all(self.part(i) >= other.part(i) for i in range(1, len(other) + 1))
 
-    def cells(self) -> Iterator[Cell]:
+    def cells(self) -> Iterator[tuple[int, int]]:
         for i, p in enumerate(self.parts, start=1):
             for j in range(1, p + 1):
-                yield Cell(i, j)
+                yield i, j
 
     def __contains__(self, cell) -> bool:
         i, j = cell
@@ -106,10 +101,10 @@ class Partition:
         leg = sum(1 for p in self.parts[i:] if p >= j)
         return self.part(i) - j + leg + 1
 
-    def hooks(self) -> dict[Cell, int]:
+    def hooks(self) -> dict[tuple[int, int], int]:
         """Hook lengths of every cell, as a dict in reading order."""
         return {
-            Cell(i, j): h
+            (i, j): h
             for i, row in enumerate(_hook_rows(self), start=1)
             for j, h in enumerate(row, start=1)
         }
@@ -208,10 +203,10 @@ class SkewShape:
         """Per row i the half-open column interval (inner_i, outer_i]."""
         return list(zip_longest(self.inner.parts, self.outer.parts, fillvalue=0))
 
-    def cells(self) -> list[Cell]:
+    def cells(self) -> list[tuple[int, int]]:
         out = []
         for i, (lo, hi) in enumerate(self.row_bounds(), start=1):
-            out.extend(Cell(i, j) for j in range(lo + 1, hi + 1))
+            out.extend((i, j) for j in range(lo + 1, hi + 1))
         return out
 
     def __contains__(self, cell) -> bool:

@@ -310,8 +310,14 @@ def test_tvk_constant():
     a = TvkData(alpha=(0.4, 0.1), beta=(0.3, 0.2), pi=(0.1, 0.0), tau=(0.2, 0.1))
     b = TvkData(alpha=(0.3, 0.2), beta=(0.4, 0.1), pi=(0.2, 0.1), tau=(0.1, 0.0))
     assert tvk_constant(a) == pytest.approx(tvk_constant(b))  # conjugation symmetry
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="alpha_i >= pi_i"):
         TvkData(alpha=(0.1,), beta=(0.1,), pi=(0.2,), tau=(0.0,))
+    with pytest.raises(ValueError, match="beta_i >= tau_i"):
+        TvkData(alpha=(0.1,), beta=(0.1,), pi=(0.0,), tau=(0.2,))
+    with pytest.raises(ValueError, match="equal length"):
+        TvkData(alpha=(0.2, 0.1), beta=(0.1,), pi=(0.0,), tau=(0.0,))
+    with pytest.raises(ValueError, match="excess must be positive"):
+        TvkData(alpha=(0.3,), beta=(0.2,), pi=(0.3,), tau=(0.2,))
 
 
 def test_tvk_limit_trend():
@@ -329,6 +335,25 @@ def test_tvk_shape_construction():
     shape = tvk_skew_shape(data, 100)
     assert shape.outer.frobenius() == ((30,), (20,))
     assert shape.inner.frobenius() == ((10,), (5,))
+    # floor(0.35 n) = floor(0.3 n) at n = 10 and 11, so the outer keeps one
+    # diagonal while the inner's floors stay strictly decreasing; the inner
+    # keeps one too
+    data = TvkData(alpha=(0.35, 0.3), beta=(0.5, 0.4), pi=(0.3, 0.1), tau=(0.4, 0.2))
+    expected = {
+        10: (((3,), (5,)), ((3,), (4,))),
+        11: (((3,), (5,)), ((3,), (4,))),
+        20: (((7, 6), (10, 8)), ((6, 2), (8, 4))),
+        100: (((35, 30), (50, 40)), ((30, 10), (40, 20))),
+    }
+    for n, (outer, inner) in expected.items():
+        shape = tvk_skew_shape(data, n)
+        assert (shape.outer.frobenius(), shape.inner.frobenius()) == (outer, inner), n
+    # a second diagonal flooring to (0, 0) is dropped from both shapes
+    thin = TvkData(alpha=(0.5, 0.05), beta=(0.5, 0.05), pi=(0.1, 0.0), tau=(0.1, 0.0))
+    shape = tvk_skew_shape(thin, 10)
+    assert shape.outer.frobenius() == ((5,), (5,))
+    assert shape.inner.frobenius() == ((1,), (1,))
+    assert tvk_skew_shape(thin, 100).outer.frobenius() == ((50, 5), (50, 5))
 
 
 def test_subpoly_report():

@@ -18,7 +18,7 @@ from skewtab.bounds import (
 )
 from skewtab.exact import naive_hlf
 from skewtab.excited import xi_determinant
-from skewtab.shapes import Cell, SkewShape, square_shape, thick_ribbon, zigzag
+from skewtab.shapes import SkewShape, square_shape, thick_ribbon, zigzag
 
 GOLDEN = SkewShape([4, 4, 3, 2], [2, 1])
 
@@ -49,13 +49,13 @@ def test_chain_upper():
 def test_chain_validation():
     cells = GOLDEN.cells()
     with pytest.raises(ValueError, match="cover"):
-        chain_upper(GOLDEN, ChainDecomposition(((Cell(1, 3), Cell(1, 4)),)))
-    bad = ChainDecomposition(((Cell(1, 3), Cell(1, 4)), (Cell(1, 3),)))
+        chain_upper(GOLDEN, ChainDecomposition((((1, 3), (1, 4)),)))
+    bad = ChainDecomposition((((1, 3), (1, 4)), ((1, 3),)))
     with pytest.raises(ValueError, match="overlap"):
         chain_upper(GOLDEN, bad)
     # as many cells as the shape, one of them outside it: inside the inner
     # shape, in a row past the last, or past the end of its row
-    for outside in (Cell(1, 1), Cell(5, 1), Cell(2, 5), Cell(0, 3)):
+    for outside in ((1, 1), (5, 1), (2, 5), (0, 3)):
         stray = ChainDecomposition(((outside,),) + tuple((c,) for c in cells[1:]))
         with pytest.raises(ValueError, match="cover"):
             chain_upper(GOLDEN, stray)

@@ -92,6 +92,14 @@ BAD_INTEGER_ARGV = [
     (["family", "square", "--k", "2:" + HUGE], "--k"),
     (["lr", "2,1", HUGE, "1"], "part 1"),
     (["integrate", SPEC % HUGE], "spec number"),
+    (["verify", "--max-size", "٣"], "--max-size"),
+    (["verify", "--max-size", HUGE], "--max-size"),
+    (["integrate", '{"outer": [[0, 1], [1, 1]]}', "--grid", "1_024"], "--grid"),
+    (["excited", "4,4/2", "--max-cells", "1_000"], "--max-cells"),
+    (["excited", "4,4/2", "--max-cells", "-1"], "--max-cells must not be negative"),
+    (["lr", "2,1", "1", "1,1", "--max-brute", "²"], "--max-brute"),
+    (["lr", "2,1", "1", "1,1", "--max-brute", "-1"], "--max-brute must not be negative"),
+    (["family", "ribbon-rho", "--k", "2", "--m", "٣"], "--m"),
 ]
 
 

@@ -60,8 +60,10 @@ def test_factorial_families():
         assert super_doublefactorial(n) == prod(
             prod(range(1, 2 * m, 2)) for m in range(1, n + 1)
         )
-    for family in (superfactorial, double_superfactorial, super_doublefactorial):
-        with pytest.raises(ValueError):
+    for family in (
+        superfactorial, double_superfactorial, super_doublefactorial, odd_double_factorial
+    ):
+        with pytest.raises(ValueError, match="n must be >= 0"):
             family(-1)
 
 
@@ -97,6 +99,7 @@ def test_jacobi_trudi():
 def test_brute_force():
     assert brute_force_count(SkewShape([4, 4, 3, 2], [2, 1])) == 3060
     assert brute_force_count(SkewShape([1])) == 1
+    assert brute_force_count(SkewShape([])) == 1
     assert brute_force_count(zigzag(2)) == 16
     with pytest.raises(CapExceeded):
         brute_force_count(SkewShape([5] * 5))  # 25 cells
@@ -155,6 +158,8 @@ def test_euler_numbers(monkeypatch):
     assert [euler_number(n) for n in range(8)] == [1, 1, 1, 2, 5, 16, 61, 272]
     assert euler_number(5) == brute_force_count(zigzag(2))
     assert euler_number(7) == brute_force_count(zigzag(3))
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        euler_number(-1)
     with pytest.raises(CapExceeded, match="n <= 1000, got 1001"):
         euler_number(1001)
     monkeypatch.setattr(exact, "EULER_CAP", 10)
@@ -165,6 +170,8 @@ def test_euler_numbers(monkeypatch):
 
 def test_catalan():
     assert [catalan(m) for m in range(6)] == [1, 1, 2, 5, 14, 42]
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        catalan(-1)
 
 
 def test_lr_examples():

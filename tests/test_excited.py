@@ -26,7 +26,6 @@ from skewtab.excited import (
     xi_path_count,
 )
 from skewtab.shapes import (
-    Cell,
     Partition,
     SkewShape,
     inverted_thick_hook,
@@ -131,7 +130,7 @@ def test_characterization_enumerates_the_same_set(small_connected_shapes):
             spots = []
             t = 0
             while (i + t, j + t) in lam:
-                spots.append(Cell(i + t, j + t))
+                spots.append((i + t, j + t))
                 t += 1
             per_cell.append(spots)
         count = sum(
@@ -304,7 +303,7 @@ def test_soundness_checks_raise(monkeypatch):
         slim_xi_checks(SkewShape([7, 6, 5], [2, 1]))
 
 
-def depth_walk_strips(shape: SkewShape) -> list[tuple[Cell, ...]]:
+def depth_walk_strips(shape: SkewShape) -> list[tuple[tuple[int, int], ...]]:
     """Reference border-strip decomposition, cell by cell.
 
     A cell's depth is one more than its up-left neighbor's if that is a skew
@@ -313,23 +312,45 @@ def depth_walk_strips(shape: SkewShape) -> list[tuple[Cell, ...]]:
     and walks up, else right, through cells of its depth.
     """
     cells = shape.cells()  # reading order: every up-left neighbor comes first
-    depth: dict[Cell, int] = {}
-    for c in cells:
-        depth[c] = depth.get((c.row - 1, c.col - 1), 0) + 1
+    depth: dict[tuple[int, int], int] = {}
+    for i, j in cells:
+        depth[i, j] = depth.get((i - 1, j - 1), 0) + 1
     strips = []
     for i, j in cells:
         d = depth[i, j]
         if depth.get((i + 1, j)) == d or depth.get((i, j - 1)) == d:
             continue
-        strip = [Cell(i, j)]
+        strip = [(i, j)]
         while True:
             i, j = strip[-1]
-            nxt = Cell(i - 1, j) if depth.get((i - 1, j)) == d else Cell(i, j + 1)
+            nxt = (i - 1, j) if depth.get((i - 1, j)) == d else (i, j + 1)
             if depth.get(nxt) != d:
                 break
             strip.append(nxt)
         strips.append(tuple(strip))
     return strips
+
+
+def test_cells_are_plain_tuples():
+    # cells are (row, col) tuples wherever the library hands them out, and
+    # a diagram given as lists is read as tuples
+    shape = SkewShape([5, 4, 4, 1], [2, 1])
+    diagrams = enumerate_excited(shape)
+    families = [paths_from_diagram(shape, d) for d in diagrams]
+    cells = [
+        *shape.cells(),
+        *shape.outer.cells(),
+        *shape.outer.hooks(),
+        *(c for d in diagrams for c in d),
+        *top_excited_diagram(shape),
+        *(c for strip in border_strip_decomposition(shape) for c in strip),
+        *(c for fam in families for path in fam.paths for c in path),
+    ]
+    assert {type(c) for c in cells} == {tuple}
+    assert all(len(c) == 2 and type(c[0]) is type(c[1]) is int for c in cells)
+    as_lists = [[list(c) for c in d] for d in diagrams]
+    assert all(is_excited_diagram(shape, d) for d in as_lists)
+    assert [paths_from_diagram(shape, d) for d in as_lists] == families
 
 
 def test_border_strips():
@@ -388,15 +409,15 @@ def traced_paths(shape: SkewShape, diagram) -> excited.PathFamily:
     path climbs when the cell above is free and not blocked diagonally,
     else moves right, until it is stuck."""
     ends = {strip[0]: strip[-1] for strip in border_strip_decomposition(shape)}
-    remaining = set(shape.outer.cells()) - {Cell(i, j) for i, j in diagram}
+    remaining = set(shape.outer.cells()) - {(i, j) for i, j in diagram}
     paths = []
-    for start in sorted(ends, key=lambda c: (c.col, c.row)):
+    for start in sorted(ends, key=lambda c: c[::-1]):
         assert start in remaining, (shape, diagram, start)
         path = [start]
         remaining.remove(start)
         while True:
             i, j = path[-1]
-            up, right = Cell(i - 1, j), Cell(i, j + 1)
+            up, right = (i - 1, j), (i, j + 1)
             if up in remaining and (i - 1, j - 1) not in remaining:
                 nxt = up
             elif right in remaining:
@@ -452,8 +473,10 @@ def test_proctor():
     assert proctor_xi(4) == len(enumerate_excited(thick_ribbon(4)))
     for k in (2, 4, 6, 8):
         assert proctor_xi(k) == proctor_xi_superfactorial(k)
-    with pytest.raises(ValueError):
-        proctor_xi(3)
+    for form in (proctor_xi, proctor_xi_superfactorial):
+        for k in (0, 3):
+            with pytest.raises(ValueError, match="even k >= 2"):
+                form(k)
 
 
 def test_macmahon():
@@ -463,6 +486,9 @@ def test_macmahon():
     assert macmahon_xi(2) == len(enumerate_excited(inverted_thick_hook(2)))
     for k in range(1, 9):
         assert macmahon_xi(k) == macmahon_xi_superfactorial(k)
+    for form in (macmahon_xi, macmahon_xi_superfactorial):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            form(0)
 
 
 def test_zigzag_catalan_offset():

@@ -112,7 +112,7 @@ def test_jacobi_trudi_symmetries(shape):
 @given(random_skew_shapes(60, connected=False))
 def test_upper_ideal_sizes_definition(shape):
     cells = shape.cells()
-    direct = {c: sum(d.row >= c.row and d.col >= c.col for d in cells) for c in cells}
+    direct = {(i, j): sum(k >= i and m >= j for k, m in cells) for i, j in cells}
     assert upper_ideal_sizes(shape) == direct
 
 

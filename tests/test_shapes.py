@@ -4,7 +4,6 @@ from collections import Counter, deque
 import pytest
 
 from skewtab.shapes import (
-    Cell,
     Partition,
     ShapeFamily,
     ShapeParseError,
@@ -268,6 +267,10 @@ def test_parse_errors():
         parse_shape("2,x")
     with pytest.raises(ShapeParseError, match="'k' is given twice"):
         parse_shape("thick-ribbon:k=4:k=5")
+    with pytest.raises(ShapeParseError, match="family parameter 1 is not key=value"):
+        parse_shape("square:k")
+    with pytest.raises(ShapeParseError, match="unknown family parameter 'q'"):
+        parse_shape("square:q=3")
 
 
 def test_parse_int():
@@ -297,7 +300,7 @@ def test_round_trip_corpus():
 
 def test_cells_and_membership():
     shape = SkewShape([3, 2], [1])
-    assert shape.cells() == [Cell(1, 2), Cell(1, 3), Cell(2, 1), Cell(2, 2)]
+    assert shape.cells() == [(1, 2), (1, 3), (2, 1), (2, 2)]
     assert (1, 2) in shape and (1, 1) not in shape and (3, 1) not in shape
 
 
