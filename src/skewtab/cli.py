@@ -168,7 +168,7 @@ def _parse_range(spec: str) -> list[int]:
         raise ShapeParseError("--k step must not be zero")
     ks = list(range(lo, hi + 1, step))
     if not ks:
-        raise ShapeParseError(f"range {spec!r} is empty")
+        raise ShapeParseError(f"--k range {shapes.quote_prefix(spec)} is empty")
     return ks
 
 
@@ -194,7 +194,9 @@ def cmd_integrate(args) -> int:
         try:
             with open(raw, encoding="utf-8") as fh:
                 raw = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:  # its text would repeat the path, of any length
+            raise ShapeParseError(f"cannot read boundary spec: {exc.strerror}")
+        except UnicodeDecodeError as exc:
             raise ShapeParseError(f"cannot read boundary spec: {exc}")
     try:
         spec = json.loads(raw, parse_int=lambda text: shapes.parse_int(text, "spec number"))
@@ -231,10 +233,10 @@ def cmd_lr(args) -> int:
 def cmd_verify(args) -> int:
     max_size = shapes.parse_int(args.max_size, "--max-size")
     if max_size < 1:
-        raise ShapeParseError(f"--max-size must be at least 1, got {max_size}")
+        raise ShapeParseError("--max-size must be at least 1")
     groups = tuple(g.strip() for g in args.groups.split(",") if g.strip())
     if not groups:
-        raise ShapeParseError(f"--groups names no sweep: {args.groups!r}")
+        raise ShapeParseError(f"--groups names no sweep: {shapes.quote_prefix(args.groups)}")
     results = verify.run_suite(max_size=max_size, groups=groups)
     failed = False
     for res in results:

@@ -40,11 +40,7 @@ def enumerate_excited(shape: SkewShape, cap: int = DEFAULT_CELL_CAP) -> list[Dia
     number of diagrams by the flag determinant; that product is checked
     against cap before the search starts.
     """
-    return _enumerate_excited(shape, xi_determinant(shape), cap)
-
-
-def _enumerate_excited(shape: SkewShape, xi: int, cap: int) -> list[Diagram]:
-    """The search of `enumerate_excited`, given the flag determinant's count xi."""
+    xi = xi_determinant(shape)
     if xi * shape.inner.size > cap:
         raise CapExceeded(
             f"excited enumeration needs xi * |inner| <= {cap} cells, got {xi} * {shape.inner.size}"
@@ -161,7 +157,7 @@ def nhlf_count(shape: SkewShape) -> int:
     if len(shape.inner) <= 3 * _strip_count(shape):
         det, den = _flag_hook_sum(shape)
     else:
-        det, den = _strip_hook_sum(shape, border_strip_decomposition(shape))
+        det, den = _strip_hook_sum(shape)
     if det <= 0:
         raise ArithmeticError("hook-sum determinant is not positive")
     return _exact_quotient(factorial(shape.size) * det, den, "hook-sum count")
@@ -224,11 +220,12 @@ def _flag_hook_sum(shape: SkewShape) -> tuple[int, int]:
     return _bareiss_det(mat), den
 
 
-def _strip_hook_sum(shape: SkewShape, strips) -> tuple[int, int]:
+def _strip_hook_sum(shape: SkewShape) -> tuple[int, int]:
     """The hook sum as (det, den), from the strip lattice: den = C^n."""
     hooks = shape.outer.hooks()
     scale = lcm(*hooks.values())
-    det = _path_determinant(shape.outer, strips, {c: scale // h for c, h in hooks.items()})
+    weight = {c: scale // h for c, h in hooks.items()}
+    det = _path_determinant(shape.outer, border_strip_decomposition(shape), weight)
     return det, scale**shape.size
 
 
@@ -288,11 +285,14 @@ def min_max_term(shape: SkewShape) -> tuple[Fraction, Fraction]:
     (i + 1, j + 1), whose outer hook is smaller by at least two, so every
     move shrinks the term.  The largest term is therefore the inner
     diagram's and the smallest the top diagram's: two diagrams, no
-    enumeration.
+    enumeration.  The term of a diagram D is prod_{u in D} h(u) / H(outer),
+    so both come from one table of outer hooks.
     """
-    hooks = shape.outer.hooks()
-    top = prod(hooks[c] for c in top_excited_diagram(shape))
-    return Fraction(top, shape.outer.hook_product()), Fraction(1, shape.hook_product())
+    rows = list(_hook_rows(shape.outer))  # rows[i - 1][j - 1] = h(i, j)
+    den = prod(map(prod, rows))
+    top = prod(rows[i - 1][j - 1] for i, j in top_excited_diagram(shape))
+    inner = prod(prod(row[:m]) for row, m in zip(rows, shape.inner.parts))
+    return Fraction(top, den), Fraction(inner, den)
 
 
 # -- lattice paths ------------------------------------------------------------

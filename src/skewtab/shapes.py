@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import accumulate, chain, zip_longest
 from math import prod
+from operator import index
 from typing import Iterator
 
 
@@ -27,15 +28,19 @@ class Partition:
         if isinstance(parts, Partition):  # immutable and already validated
             self.parts = parts.parts
             return
-        parts = tuple(int(p) for p in parts)
-        for i in range(len(parts)):
-            if parts[i] < 0:
-                raise ValueError(f"negative part at index {i + 1}")
-            if i and parts[i - 1] < parts[i]:
-                raise ValueError(f"parts not weakly decreasing at index {i + 1}")
-        while parts and parts[-1] == 0:
-            parts = parts[:-1]
-        self.parts = parts
+        checked = []
+        for i, p in enumerate(parts, start=1):
+            try:
+                p = index(p)  # exact: a float is not rounded, a string not read
+            except TypeError:
+                raise ValueError(f"part at index {i} is not an integer") from None
+            if p < 0:
+                raise ValueError(f"negative part at index {i}")
+            if checked and checked[-1] < p:
+                raise ValueError(f"parts not weakly decreasing at index {i}")
+            checked.append(p)
+        # the parts weakly decrease, so the zeros are the tail
+        self.parts = tuple(checked[: len(checked) - checked.count(0)])
 
     @classmethod
     def _trusted(cls, parts: tuple[int, ...]) -> "Partition":
@@ -326,6 +331,12 @@ def parse_int(text: str, what: str) -> int:
     return int(text)
 
 
+def quote_prefix(text: str) -> str:
+    """Text quoted for an error message: its first 20 characters, and '...'
+    if there is more, so that no message grows with the input."""
+    return repr(text[:20]) + ("..." if len(text) > 20 else "")
+
+
 def _parse_parts(text: str, what: str) -> Partition:
     text = text.strip()
     if text in ("", "-"):
@@ -463,7 +474,7 @@ class ShapeFamily:
 
     def __init__(self, kind: str, **params):
         if kind not in FAMILY_BUILDERS:
-            raise ShapeParseError(f"unknown family '{kind}'")
+            raise ShapeParseError(f"unknown family {quote_prefix(kind)}")
         self.kind = kind
         self.params = dict(params)
 
@@ -496,7 +507,7 @@ def parse_family(text: str) -> ShapeFamily:
     head, *rest = text.strip().split(":")
     kind = head.strip()
     if kind not in FAMILY_BUILDERS:
-        raise ShapeParseError(f"unknown family '{kind}'")
+        raise ShapeParseError(f"unknown family {quote_prefix(kind)}")
     params = {}
     for pos, item in enumerate(rest, start=1):
         key, sep, value = item.partition("=")
@@ -510,7 +521,7 @@ def parse_family(text: str) -> ShapeFamily:
         elif key == "sigma":
             params[key] = _parse_parts(value, "sigma")
         else:
-            raise ShapeParseError(f"unknown family parameter '{key}'")
+            raise ShapeParseError(f"unknown family parameter {quote_prefix(key)}")
     return ShapeFamily(kind, **params)
 
 

@@ -14,14 +14,13 @@ from .bounds import bounds_report
 from .errors import CapExceeded
 from .exact import DEFAULT_BRUTE_CAP, brute_force_count, jacobi_trudi_count
 from .excited import (
-    DEFAULT_CELL_CAP,
-    _enumerate_excited,
+    enumerate_excited,
     nhlf_count,
     xi_bounds,
     xi_determinant,
     xi_path_count,
 )
-from .shapes import Partition, SkewShape, partitions_of, shape_text, subpartitions
+from .shapes import Partition, SkewShape, partitions_of, quote_prefix, shape_text, subpartitions
 
 
 def skew_shapes(max_size: int, connected_only: bool = True) -> Iterator[SkewShape]:
@@ -53,8 +52,7 @@ def oracle_sweep(max_size: int = 8, progress: Callable | None = None) -> SweepRe
     """Counting routes must agree: determinant = brute force = hook sum, and
     the flag determinant of xi must match the path count and the enumeration.
 
-    The brute-force cap is checked before the first shape, and each shape's
-    flag determinant serves the enumeration's cap check too."""
+    The brute-force cap is checked before the first shape."""
     _check_brute_cap(max_size)
     checked = 0
     failures = []
@@ -68,8 +66,8 @@ def oracle_sweep(max_size: int = 8, progress: Callable | None = None) -> SweepRe
         # The cell cap never stops a sweep halfway: a diagram is |inner| of
         # the |outer| <= 24 cells (the brute-force cap), so xi * |inner| is at
         # most |inner| * C(|outer|, |inner|) = |outer| * C(|outer| - 1,
-        # |inner| - 1) <= 24 * C(23, 11), about 3.2e7 < DEFAULT_CELL_CAP.
-        xe = len(_enumerate_excited(shape, xd, DEFAULT_CELL_CAP))
+        # |inner| - 1) <= 24 * C(23, 11), about 3.2e7 < 10^8, the default cap.
+        xe = len(enumerate_excited(shape))
         if not (jt == bf == nh):
             failures.append(f"{shape_text(shape)}: counts disagree jt={jt} bf={bf} nhlf={nh}")
         if xd != xp:
@@ -117,7 +115,7 @@ def run_suite(max_size: int = 8, groups=("oracles", "bounds")) -> list[SweepResu
     """Run the named sweeps in order; names and caps are checked before any group runs."""
     for name in groups:
         if name not in SWEEP_GROUPS:
-            raise ValueError(f"unknown verify group '{name}'")
+            raise ValueError(f"unknown verify group {quote_prefix(name)}")
     if "oracles" in groups:
         _check_brute_cap(max_size)
     return [SWEEP_GROUPS[name](max_size) for name in groups]

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import log, sqrt
 
 import numpy as np
@@ -37,6 +38,11 @@ def test_log_factorial_family_basics():
     assert abs(r.gap - 3.2224) < 1e-3  # ~ (1/2) log(2 pi n)
     with pytest.raises(ValueError):
         log_factorial_family("nope", 3)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        log_factorial_family("factorial", 0)
+    for q in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="positive rational"):
+            log_fraction(q)
 
 
 def test_log_factorial_calibrations():
@@ -65,6 +71,8 @@ def test_second_order_square_trend():
     assert cs == pytest.approx(frozen, abs=1e-6)
     assert all(a > b for a, b in zip(cs, cs[1:]))
     assert all(c > limit for c in cs)
+    with pytest.raises(ValueError, match="empty shape"):
+        second_order_constant(SkewShape([]))
 
 
 def test_inverted_thick_hook_constant_regression():

@@ -103,7 +103,21 @@ BAD_INTEGER_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv, named", BAD_INTEGER_ARGV)
+# text of any length is refused with its field named and at most a short
+# prefix of it quoted
+LONG = "x" * 100_000
+LONG_TEXT_ARGV = [
+    (["count", LONG + ":k=1"], "unknown family"),
+    (["count", "square:" + LONG + "=1"], "unknown family parameter"),
+    (["verify", "--groups", LONG], "verify group"),
+    (["verify", "--groups", "," * 100_000], "--groups"),
+    (["integrate", "/missing/" + LONG], "boundary spec"),
+    (["family", "thick-ribbon", "--k", "9" + "0" * 4000 + ":1"], "--k range"),
+    (["verify", "--max-size", "-" + "9" * 4300], "--max-size"),
+]
+
+
+@pytest.mark.parametrize("argv, named", BAD_INTEGER_ARGV + LONG_TEXT_ARGV)
 def test_bad_integers_are_usage_errors(capsys, argv, named):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -465,8 +479,8 @@ def test_verify_brute_cap_before_sweeping(monkeypatch, capsys):
 
 
 def test_oracle_sweep_calls_per_shape(monkeypatch):
-    # one flag determinant per shape, shared by the enumeration's cap check;
-    # one border-strip decomposition per shape for the path count of xi, and
+    # two flag determinants per shape, the sweep's and the enumeration's cap
+    # check; one border-strip decomposition per shape for the path count of xi, and
     # one more for each shape whose hook sum takes the strip lattice, e.g. a
     # cell under four inner rows
     strip_lattice = sum(
@@ -486,9 +500,40 @@ def test_oracle_sweep_calls_per_shape(monkeypatch):
     result = verify.oracle_sweep(6)
     assert result.failures == []
     assert calls == {
-        "xi_determinant": result.checked,
+        "xi_determinant": 2 * result.checked,
         "border_strip_decomposition": result.checked + strip_lattice,
     }
+
+
+def test_sweep_failures_and_progress(monkeypatch):
+    # progress counts every shape; a wrong kernel shows as one failure line
+    # per check it breaks, naming the shape
+    for sweep in (verify.oracle_sweep, verify.bounds_sweep):
+        seen = []
+        result = sweep(4, progress=seen.append)
+        assert result.failures == [] and seen == list(range(1, result.checked + 1))
+    monkeypatch.setattr(verify, "nhlf_count", lambda shape: 0)
+    monkeypatch.setattr(verify, "xi_path_count", lambda shape: 0)
+    monkeypatch.setattr(verify, "enumerate_excited", lambda shape: [])
+    result = verify.oracle_sweep(2)
+    assert len(result.failures) == 3 * result.checked
+    assert result.failures[:3] == [
+        "1: counts disagree jt=1 bf=1 nhlf=0",
+        "1: xi det=1 paths=0",
+        "1: xi det=1 enum=0",
+    ]
+    real = verify.bounds_report
+
+    def unsound(shape):
+        report = real(shape)
+        report.verdicts["hp"] = False
+        return report
+
+    monkeypatch.setattr(verify, "bounds_report", unsound)
+    monkeypatch.setattr(verify, "xi_bounds", lambda shape: (0, 0))
+    result = verify.bounds_sweep(2)
+    assert len(result.failures) == 2 * result.checked
+    assert result.failures[:2] == ["1: failed hp", "1: xi bound violated"]
 
 
 def test_verify_failure_exit(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 import random
+import time
 from collections import Counter, deque
 
+import numpy as np
 import pytest
 
 from skewtab.shapes import (
@@ -40,6 +42,17 @@ def test_partition_validation():
         Partition([2, -1])
     with pytest.raises(ValueError, match="index 1"):
         Partition([-1])
+    # parts are exact integers: nothing is rounded, no text is read
+    assert Partition(np.array([3, 1, 0])).parts == (3, 1)
+    for parts, pos in (([3.9, 2.5], 1), (["3", "1"], 1), ([3, 1.0], 2)):
+        with pytest.raises(ValueError, match=f"^part at index {pos} is not an integer$"):
+            Partition(parts)
+    with pytest.raises(ValueError, match="index 1 is not an integer"):
+        SkewShape([3.9, 2.5], [1.99])
+    # trailing zeros are stripped in linear time
+    start = time.perf_counter()
+    assert Partition([1] + [0] * 100_000).parts == (1,)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_conjugate():
@@ -123,6 +136,9 @@ def test_family_generators():
     assert inverted_hook(1) == SkewShape([2, 2], [1])
     assert square_shape(3) == SkewShape([3, 3, 3])
     assert staircase(4) == Partition([3, 2, 1])
+    for family in (staircase, inverted_thick_hook):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            family(0)
     assert slim_stripe(3) == SkewShape([7, 6, 5], [2, 1])
     for k in range(1, 51):
         assert thick_ribbon(k).size == k * (3 * k - 1) // 2
@@ -250,6 +266,7 @@ def test_parse_and_print():
     assert parse_shape("regev-vershik:sigma=1:rows=2:cols=2").build() == SkewShape(
         [3, 3, 2], [2, 1]
     )
+    assert repr(fam) == "ShapeFamily('thick-ribbon', **{'k': 4})"
 
 
 def test_parse_errors():
@@ -271,6 +288,11 @@ def test_parse_errors():
         parse_shape("square:k")
     with pytest.raises(ShapeParseError, match="unknown family parameter 'q'"):
         parse_shape("square:q=3")
+    with pytest.raises(ShapeParseError, match="^unknown family 'bogus'$"):
+        ShapeFamily("bogus")
+    # text is quoted by its first 20 characters only
+    with pytest.raises(ShapeParseError, match=r"^unknown family 'x{20}'\.\.\.$"):
+        parse_shape("x" * 21 + ":k=1")
 
 
 def test_parse_int():
@@ -313,3 +335,10 @@ def test_frobenius_round_trip():
             assert Partition.from_frobenius(arms, legs) == lam
             checked += 1
     assert checked == 684
+    for arms, legs, why in (
+        ([1], [], "equal length"),
+        ([1, 1], [1, 0], "strictly decreasing"),
+        ([0, -1], [1, 0], "nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=why):
+            Partition.from_frobenius(arms, legs)
