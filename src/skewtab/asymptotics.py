@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, log, sqrt
+from math import inf, isfinite, log, sqrt
+from numbers import Real
 
 from .errors import CapExceeded
 from .exact import factorials, jacobi_trudi_count, naive_hlf
@@ -141,15 +142,29 @@ class _Boundary:
     forward evaluation and the generalized inverse use sup semantics at ties.
     """
 
-    def __init__(self, points):
-        pts = [(float(x), float(y)) for x, y in points]
-        if len(pts) < 2:
-            raise ValueError("a boundary needs at least two points")
-        if not all(isfinite(v) for pt in pts for v in pt):
-            raise ValueError("boundary coordinates must be finite numbers")
-        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+    def __init__(self, points, name):
+        """Read points, a list or tuple of [x, y] pairs of finite real numbers
+        (not bools); errors name the boundary and the point."""
+        if not isinstance(points, (list, tuple)) or len(points) < 2:
+            raise ValueError(f"{name} boundary needs a list of at least two [x, y] points")
+        pts = []
+        for pos, pt in enumerate(points, start=1):
+            if not (
+                isinstance(pt, (list, tuple))
+                and len(pt) == 2
+                and all(isinstance(v, Real) and not isinstance(v, bool) for v in pt)
+            ):
+                raise ValueError(f"{name} point {pos} must be [x, y], two real numbers")
+            try:
+                x, y = float(pt[0]), float(pt[1])
+            except OverflowError:  # an integer or fraction past the float range
+                x = y = inf
+            if not (isfinite(x) and isfinite(y)):
+                raise ValueError(f"{name} point {pos} must be finite")
+            pts.append((x, y))
+        for pos, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:]), start=2):
             if x1 < x0 or y1 > y0:
-                raise ValueError("boundary must move right and weakly down")
+                raise ValueError(f"{name} point {pos}: boundary must move right and weakly down")
         self.points = pts
         self.x_min = pts[0][0]
         self.x_max = pts[-1][0]
@@ -193,10 +208,10 @@ class StableShape:
     """A scaled-limit skew region between two piecewise-linear boundaries."""
 
     def __init__(self, outer_points, inner_points=None):
-        self.outer = _Boundary(outer_points)
+        self.outer = _Boundary(outer_points, "outer")
         if inner_points is None:
             inner_points = [(self.outer.x_min, 0.0), (self.outer.x_max, 0.0)]
-        self.inner = _Boundary(inner_points)
+        self.inner = _Boundary(inner_points, "inner")
         if abs(self.inner.x_min - self.outer.x_min) > 1e-12 or abs(
             self.inner.x_max - self.outer.x_max
         ) > 1e-12:

@@ -190,7 +190,7 @@ def cmd_family(args) -> int:
 
 def cmd_integrate(args) -> int:
     raw = args.spec
-    if not raw.lstrip().startswith("{"):
+    if not raw.lstrip().startswith(("{", "[")):
         try:
             with open(raw, encoding="utf-8") as fh:
                 raw = fh.read()
@@ -202,18 +202,17 @@ def cmd_integrate(args) -> int:
         spec = json.loads(raw, parse_int=lambda text: shapes.parse_int(text, "spec number"))
     except json.JSONDecodeError as exc:
         raise ShapeParseError(f"bad boundary spec: {exc}")
-    if not isinstance(spec, dict) or "outer" not in spec:
+    except RecursionError:
+        raise ShapeParseError("bad boundary spec: nested too deeply") from None
+    if not isinstance(spec, dict):
+        raise ShapeParseError("boundary spec must be a JSON object {outer, inner?}")
+    for key in spec:
+        if key not in ("outer", "inner"):
+            raise ShapeParseError(f"unknown boundary spec key {shapes.quote_prefix(key)}")
+    if "outer" not in spec:
         raise ShapeParseError("boundary spec needs an 'outer' point list")
-    try:
-        shape = asymptotics.StableShape(spec["outer"], spec.get("inner"))
-    except TypeError as exc:
-        raise ShapeParseError(f"boundary points must be [x, y] number pairs: {exc}")
-    if args.grid is not None:
-        grid = shapes.parse_int(args.grid, "--grid")
-    else:
-        grid = spec.get("grid", 512)
-        if type(grid) is not int:  # a JSON float, string or bool is refused
-            raise ShapeParseError("spec 'grid' must be a JSON integer")
+    shape = asymptotics.StableShape(spec["outer"], spec.get("inner"))
+    grid = shapes.parse_int(args.grid, "--grid")
     value = asymptotics.hook_integral(shape, grid=grid)
     _emit_json(
         {"grid": grid, "area": _flt(shape.area()), "integral": _flt(value)}
@@ -251,8 +250,23 @@ def cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with each usage error printed as one bounded line."""
+
+    def error(self, message):
+        # argparse quotes argv text whole after words of its own and a colon
+        # ("argument family: invalid choice: ...", "unrecognized arguments:
+        # ..."), so a long or unprintable message keeps those words and
+        # quotes a prefix of the rest
+        if not (message.isprintable() and len(message) <= 150):
+            head, _, rest = message.partition(": ")
+            message = f"{head}: {shapes.quote_prefix(rest)}"
+        print(f"error: {message}", file=sys.stderr)
+        self.exit(EXIT_USAGE)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewtab",
         description="Exact counts, bounds and asymptotics for skew standard tableaux",
     )
@@ -289,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("integrate", cmd_integrate, "hook integral of a piecewise-linear shape")
     p.add_argument("spec", help="JSON file path or inline JSON")
-    p.add_argument("--grid", default=None)
+    p.add_argument("--grid", default="512")
 
     p = add("lr", cmd_lr, "Littlewood-Richardson coefficient")
     p.add_argument("outer")

@@ -38,7 +38,8 @@ def enumerate_excited(shape: SkewShape, cap: int = DEFAULT_CELL_CAP) -> list[Dia
     deduplicated by their sorted cell set.  The first element is always the
     inner diagram itself.  The search stores xi * |inner| cells, xi the
     number of diagrams by the flag determinant; that product is checked
-    against cap before the search starts.
+    against cap before the search starts, and the number of diagrams found
+    against xi after it ends.
     """
     xi = xi_determinant(shape)
     if xi * shape.inner.size > cap:
@@ -56,6 +57,10 @@ def enumerate_excited(shape: SkewShape, cap: int = DEFAULT_CELL_CAP) -> list[Dia
             if moved is not None and moved not in seen:
                 seen.add(moved)
                 order.append(moved)
+    if len(order) != xi:
+        raise ArithmeticError(
+            f"excited enumeration found {len(order)} diagrams, the flag determinant {xi}"
+        )
     return order
 
 

@@ -333,8 +333,13 @@ def parse_int(text: str, what: str) -> int:
 
 def quote_prefix(text: str) -> str:
     """Text quoted for an error message: its first 20 characters, and '...'
-    if there is more, so that no message grows with the input."""
-    return repr(text[:20]) + ("..." if len(text) > 20 else "")
+    if there is more, so that no message grows with the input.  Fewer are
+    kept where repr escapes them (a control character's escape is up to ten
+    wide), so the quote is at most 42 characters plus the '...'."""
+    head = text[:20]
+    while len(repr(head)) > 42:
+        head = head[:-1]
+    return repr(head) + ("..." if len(text) > len(head) else "")
 
 
 def _parse_parts(text: str, what: str) -> Partition:

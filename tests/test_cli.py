@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewtab
 from skewtab import asymptotics, cli, excited, shapes, verify
@@ -16,7 +20,10 @@ from skewtab.verify import SweepResult
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse refuses the arguments
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -71,8 +78,8 @@ def test_repeated_family_parameter_is_a_usage_error(capsys):
 SPEC = '{"outer": [[0, 1], [1, 1]], "grid": %s}'
 HUGE = "9" * 5000
 
-# each integer is refused by shapes.parse_int or the JSON 'grid' check,
-# with the part, parameter, option or spec key it came from named
+# each integer is refused by shapes.parse_int, or a spec 'grid' as an
+# unknown key, with the part, parameter, option or spec key it came from named
 BAD_INTEGER_ARGV = [
     (["count", "²"], "part 1"),
     (["count", "٣"], "part 1"),
@@ -114,6 +121,8 @@ LONG_TEXT_ARGV = [
     (["integrate", "/missing/" + LONG], "boundary spec"),
     (["family", "thick-ribbon", "--k", "9" + "0" * 4000 + ":1"], "--k range"),
     (["verify", "--max-size", "-" + "9" * 4300], "--max-size"),
+    (["family", LONG, "--k", "1"], "argument family"),
+    (["count", "1", "--" + LONG], "unrecognized arguments"),
 ]
 
 
@@ -235,8 +244,8 @@ def test_integrate_inline(capsys):
 
 def test_integrate_file(tmp_path, capsys):
     spec = tmp_path / "shape.json"
-    spec.write_text(json.dumps({"outer": [[0, 1], [1, 1]], "grid": 128}))
-    code, out, _ = run_cli(capsys, "integrate", str(spec))
+    spec.write_text(json.dumps({"outer": [[0, 1], [1, 1]]}))
+    code, out, _ = run_cli(capsys, "integrate", str(spec), "--grid", "128")
     assert code == 0
     assert json.loads(out)["grid"] == 128
 
@@ -261,6 +270,40 @@ def test_integrate_bad_specs(tmp_path, capsys):
         assert out == "" and named in err, (argv, err)
 
 
+# a spec is a JSON object {outer, inner?}, each point two real numbers; a
+# refusal is one short line naming the boundary and point, or the key
+REFUSED_SPECS = [
+    ('{"outer": [["1.5", 1], [2, 1]]}', "outer point 1 must be [x, y]"),
+    ('{"outer": [[true, 1], [2, 1]]}', "outer point 1 must be [x, y]"),
+    ('{"outer": [[0, 1], [1, 1]], "inner": [[0, 0], [1, false]]}', "inner point 2"),
+    ('{"outer": [[0, 1, 2], [1, 1]]}', "outer point 1 must be [x, y]"),
+    ('{"outer": {"a": 1}}', "outer boundary needs a list"),
+    ('{"outer": [["' + LONG + '", 1], [2, 1]]}', "outer point 1 must be [x, y]"),
+    ('{"outer": [[0, 1], [1, 1]], "extra": 1}', "unknown boundary spec key 'extra'"),
+    ('{"outer": [[0, 1], [1, 1]], "' + LONG + '": 1}', "unknown boundary spec key 'xxx"),
+    ("[[0, 1], [1, 1]]", "JSON object"),
+    ('{"outer": ' + "[" * 100_000 + "}", "nested too deeply"),
+    ('{"outer": [[0, 1e999], [1, 1]]}', "outer point 1 must be finite"),
+    ('{"outer": [[0, 1' + "0" * 400 + "], [1, 1]]}", "outer point 1 must be finite"),
+    ('{"outer": [[0, 1], [1, 2]]}', "outer point 2: boundary must move right"),
+]
+
+
+@pytest.mark.parametrize("spec, named", REFUSED_SPECS)
+def test_integrate_spec_schema(capsys, spec, named):
+    code, out, err = run_cli(capsys, "integrate", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err
+    assert named in err, err
+
+
+def test_escaped_quotes_stay_short(capsys):
+    # repr writes each of these characters as a ten-character escape
+    code, out, err = run_cli(capsys, "count", "\U000e0000" * 30 + ":k=1")
+    assert (code, out) == (2, "")
+    assert "unknown family" in err and err.count("\n") == 1 and len(err) < 100, err
+
+
 @pytest.mark.filterwarnings("error")
 def test_integrate_non_finite_is_not_converged(capsys):
     # the integral overflows to inf at both resolutions; inf - inf is NaN,
@@ -280,7 +323,7 @@ def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
     monkeypatch.setattr(asymptotics, "_hook_integral_at", exhausted)
     for argv in (
         ["count", "square:k=99999999999"],
-        ["integrate", '{"outer": [[0,1],[1,1]], "grid": 4096}'],
+        ["integrate", '{"outer": [[0,1],[1,1]]}', "--grid", "4096"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3, argv
@@ -293,11 +336,8 @@ def test_grid_over_cap_is_a_resource_error(monkeypatch, capsys):
 
     monkeypatch.setattr(asymptotics, "_hook_integral_at", quadrature)
     huge = "99999999999999999999"
-    for argv in (
-        ["integrate", SPEC % huge],
-        ["integrate", '{"outer": [[0,1],[1,1]]}', "--grid", huge],
-        ["integrate", SPEC % (asymptotics.GRID_CAP + 1)],
-    ):
+    for grid in (huge, str(asymptotics.GRID_CAP + 1)):
+        argv = ["integrate", '{"outer": [[0,1],[1,1]]}', "--grid", grid]
         code, out, err = run_cli(capsys, *argv)
         assert code == 3, argv
         assert (out, err) == ("", f"error: grid must be <= {asymptotics.GRID_CAP}\n"), argv
@@ -448,7 +488,7 @@ def test_env_cap_override(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]]}', "--grid", "128")
     assert code == 0
     assert json.loads(out)["grid"] == 128
-    code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]], "grid": 64}')
+    code, out, _ = run_cli(capsys, "integrate", '{"outer": [[0, 1], [1, 1]]}', "--grid", "64")
     assert json.loads(out)["grid"] == 64
     # caps are flags only; the environment no longer sets them
     monkeypatch.setenv("SKEWTAB_MAX_CELLS", "2")
@@ -479,8 +519,8 @@ def test_verify_brute_cap_before_sweeping(monkeypatch, capsys):
 
 
 def test_oracle_sweep_calls_per_shape(monkeypatch):
-    # two flag determinants per shape, the sweep's and the enumeration's cap
-    # check; one border-strip decomposition per shape for the path count of xi, and
+    # one flag determinant per shape, for the enumeration's cap and count
+    # checks; one border-strip decomposition per shape for the path count of xi, and
     # one more for each shape whose hook sum takes the strip lattice, e.g. a
     # cell under four inner rows
     strip_lattice = sum(
@@ -500,7 +540,7 @@ def test_oracle_sweep_calls_per_shape(monkeypatch):
     result = verify.oracle_sweep(6)
     assert result.failures == []
     assert calls == {
-        "xi_determinant": 2 * result.checked,
+        "xi_determinant": result.checked,
         "border_strip_decomposition": result.checked + strip_lattice,
     }
 
@@ -514,14 +554,17 @@ def test_sweep_failures_and_progress(monkeypatch):
         assert result.failures == [] and seen == list(range(1, result.checked + 1))
     monkeypatch.setattr(verify, "nhlf_count", lambda shape: 0)
     monkeypatch.setattr(verify, "xi_path_count", lambda shape: 0)
-    monkeypatch.setattr(verify, "enumerate_excited", lambda shape: [])
     result = verify.oracle_sweep(2)
-    assert len(result.failures) == 3 * result.checked
-    assert result.failures[:3] == [
+    assert len(result.failures) == 2 * result.checked
+    assert result.failures[:2] == [
         "1: counts disagree jt=1 bf=1 nhlf=0",
-        "1: xi det=1 paths=0",
-        "1: xi det=1 enum=0",
+        "1: xi paths=0 enum=1",
     ]
+    # the enumeration checks its own length against the flag determinant
+    monkeypatch.setattr(excited, "xi_determinant", lambda shape: 2)
+    result = verify.oracle_sweep(2)
+    assert len(result.failures) == 2 * result.checked
+    assert result.failures[1] == "1: excited enumeration found 1 diagrams, the flag determinant 2"
     real = verify.bounds_report
 
     def unsound(shape):
@@ -606,3 +649,129 @@ def test_optimized_interpreter_prints_the_same(command, spec):
     optimized = _fresh_python("-O", "-m", "skewtab.cli", command, spec)
     assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
     assert plain.stdout and optimized.stdout == plain.stdout
+
+
+def test_optimized_interpreter_refuses_the_same():
+    # the spec and argparse checks raise; none is an assert that -O strips
+    for argv in (
+        ["integrate", '{"outer": [["1.5", 1], [2, 1]]}'],
+        ["integrate", '{"outer": [[0, 1], [1, 1]], "grid": 64}'],
+        ["integrate", "[[0, 1], [1, 1]]"],
+        ["family", LONG, "--k", "1"],
+    ):
+        proc = _fresh_python("-O", "-m", "skewtab.cli", *argv)
+        assert (proc.returncode, proc.stdout) == (2, ""), argv
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 200, proc.stderr
+
+
+# -- a property test over argv and integrate specs --------------------------------
+
+# Junk has no ASCII digit, so it never reads as a size: every size comes from
+# the bounded strategies below (at most 12 cells, k <= 6, --max-size <= 5,
+# --grid <= 256), which keeps each example well under a second.
+_junk = st.one_of(
+    st.text(st.characters(blacklist_characters="0123456789"), max_size=30),
+    st.builds(
+        lambda chunk, times: chunk * times,
+        st.text(st.characters(blacklist_characters="0123456789"), min_size=1, max_size=5),
+        st.integers(1, 20_000),
+    ),
+)
+_small_int = st.integers(-2, 6).map(str)
+_partitions = st.lists(st.integers(1, 4), max_size=3).map(
+    lambda parts: ",".join(map(str, sorted(parts, reverse=True))) or "-"
+)
+_families = st.tuples(
+    st.sampled_from(sorted(shapes.FAMILY_BUILDERS)),
+    st.lists(st.tuples(st.sampled_from(["k", "r", "m", "ell", "rows", "cols", "sigma"]),
+                       _small_int), min_size=1, max_size=3),
+).map(lambda t: ":".join([t[0]] + [f"{key}={value}" for key, value in t[1]]))
+# at most 12 cells, or a family member with parameters <= 6
+_shape_texts = st.one_of(
+    st.tuples(_partitions, st.one_of(st.just(""), _partitions.map("/".__add__))).map("".join),
+    _families,
+)
+_shape_args = st.one_of(_shape_texts, _junk)
+_coordinate = st.one_of(
+    st.floats(-1.0, 2.0), st.floats(), st.integers(-(10**400), 10**400), st.booleans(),
+    st.none(), st.text(max_size=3),
+)
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.integers(), st.text(max_size=5)),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _boundaries(draw):
+    """A point list: a weakly decreasing staircase, loose pairs, or any JSON."""
+    kind = draw(st.sampled_from(["staircase", "pairs", "json"]))
+    if kind == "staircase":
+        xs = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=5)))
+        ys = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(xs), max_size=len(xs))))
+        return [[x, y] for x, y in zip(xs, reversed(ys))]
+    if kind == "pairs":
+        return draw(st.lists(st.lists(_coordinate, min_size=1, max_size=3), max_size=5))
+    return draw(_json)
+
+
+_specs = st.one_of(
+    st.fixed_dictionaries(
+        {"outer": _boundaries()},
+        optional={"inner": _boundaries(), "grid": st.integers(-5, 256)},
+    ).map(json.dumps),
+    _json.map(json.dumps),
+    _junk,
+)
+
+
+def _options(*pairs):
+    """Each option flag, with its value, present or not."""
+    return st.tuples(*(st.one_of(st.just([]), value.map(lambda v, f=flag: [f, v]))
+                       for flag, value in pairs)).map(lambda parts: sum(parts, []))
+
+
+_argvs = st.one_of(
+    st.tuples(st.sampled_from(["count", "bounds"]), _shape_args,
+              _options(("--format", st.sampled_from(["json", "text", "xml"])))),
+    st.tuples(st.just("nhlf"), _shape_args),
+    st.tuples(st.just("excited"), _shape_args, st.just("--max-cells"),
+              st.integers(-1, 10_000).map(str), st.sampled_from([[], ["--paths"], ["--render"]])),
+    st.tuples(st.just("family"), st.one_of(st.sampled_from(sorted(shapes.FAMILY_BUILDERS)), _junk),
+              st.just("--k"),
+              st.one_of(st.lists(_small_int, min_size=1, max_size=4).map(":".join), _junk),
+              _options(("--m", st.one_of(_small_int, _junk)))),
+    st.tuples(st.just("integrate"), _specs, _options(("--grid", st.one_of(
+        st.integers(-1, 256).map(str), _junk)))),
+    st.tuples(st.just("lr"), _partitions, _partitions, _partitions,
+              _options(("--max-brute", st.one_of(_small_int, _junk)))),
+    st.tuples(st.just("verify"), _options(("--max-size", st.integers(-1, 5).map(str)),
+                                          ("--groups", st.one_of(
+                                              st.sampled_from(["oracles", "bounds", ",,"]),
+                                              _junk)))),
+    st.lists(_junk, max_size=4),
+)
+
+
+def _flatten(parts):
+    return [p for part in parts for p in ([part] if isinstance(part, str) else _flatten(part))]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=150, deadline=None)
+@given(_argvs.map(_flatten))
+def test_cli_property(argv):
+    """Any argv ends in a documented exit code, without a traceback, and with
+    stderr empty or one line under 200 characters."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert err == "" or (err.count("\n") == 1 and err.endswith("\n") and len(err) < 200), err
