@@ -13,10 +13,10 @@ numpy is imported inside the quadrature code, never at module level, so that
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, log, sqrt
 from numbers import Real
+from typing import NamedTuple
 
 from .errors import CapExceeded
 from .exact import factorials, jacobi_trudi_count, naive_hlf
@@ -33,8 +33,7 @@ def log_fraction(q: Fraction) -> float:
 # -- factorial families on the log scale ----------------------------------------
 
 
-@dataclass(frozen=True)
-class LogEstimate:
+class LogEstimate(NamedTuple):
     exact: float
     estimate: float
 
@@ -79,8 +78,7 @@ def second_order_constant(shape: SkewShape, exact: int | None = None) -> float:
     return (log(exact) - 0.5 * n * log(n)) / n
 
 
-@dataclass(frozen=True)
-class BandConstants:
+class BandConstants(NamedTuple):
     lower: float
     upper: float
     exact: float | None = None
@@ -323,27 +321,32 @@ def unit_box_log_integral(shift: float, grid: int = 512) -> float:
 # -- Frobenius-coordinate limit ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TvkData:
-    """Scaled Frobenius coordinates of the outer and inner limit shapes."""
-
+class _TvkFields(NamedTuple):
+    # a NamedTuple body may not define __new__, so TvkData validates in a subclass
     alpha: tuple
     beta: tuple
     pi: tuple
     tau: tuple
 
-    def __post_init__(self):
-        k = len(self.alpha)
-        if not (len(self.beta) == len(self.pi) == len(self.tau) == k):
+
+class TvkData(_TvkFields):
+    """Scaled Frobenius coordinates of the outer and inner limit shapes."""
+
+    __slots__ = ()
+
+    def __new__(cls, alpha, beta, pi, tau):
+        if not (len(beta) == len(pi) == len(tau) == len(alpha)):
             raise ValueError("all four coordinate vectors need equal length")
-        for a, p in zip(self.alpha, self.pi):
+        for a, p in zip(alpha, pi):
             if a < p or p < 0:
                 raise ValueError("need alpha_i >= pi_i >= 0")
-        for b, t in zip(self.beta, self.tau):
+        for b, t in zip(beta, tau):
             if b < t or t < 0:
                 raise ValueError("need beta_i >= tau_i >= 0")
+        self = super().__new__(cls, alpha, beta, pi, tau)
         if self.gamma <= 0:
             raise ValueError("total coordinate excess must be positive")
+        return self
 
     @property
     def gamma(self) -> float:
@@ -396,8 +399,7 @@ def tvk_skew_shape(data: TvkData, n: int) -> SkewShape:
 # -- depth decompositions ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubpolyReport:
+class SubpolyReport(NamedTuple):
     n: int
     width: int
     depth: int
@@ -427,8 +429,7 @@ def subpoly_report(shape: SkewShape) -> SubpolyReport:
     )
 
 
-@dataclass(frozen=True)
-class RibbonTermsReport:
+class RibbonTermsReport(NamedTuple):
     k: int
     m: int
     n: int
@@ -457,8 +458,7 @@ def ribbon_rho_terms(k: int, m: int) -> RibbonTermsReport:
 # -- per-family report rows -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     family: str
     k: int
     n: int

@@ -9,9 +9,9 @@ from ``exact.naive_hlf`` and ``excited.xi_determinant``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 from .asymptotics import log_fraction
 from .exact import _exact_quotient, jacobi_trudi_count, naive_hlf
@@ -33,8 +33,7 @@ def antidiagonal_chains(shape: SkewShape) -> "ChainDecomposition":
     return ChainDecomposition(tuple(chains))
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(NamedTuple):
     chains: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
@@ -44,10 +43,7 @@ class ChainDecomposition:
 
 def rank_factorial_lower(shape: SkewShape) -> int:
     """Product of factorials of the antidiagonal rank sizes."""
-    prod = 1
-    for r in shape.antidiagonal_ranks():
-        prod *= factorial(r)
-    return prod
+    return prod(map(factorial, shape.antidiagonal_ranks()))
 
 
 def chain_upper(shape: SkewShape, decomposition: ChainDecomposition | None = None) -> int:
@@ -153,16 +149,15 @@ def binom_lemma_check(t: int, r: int) -> bool | None:
     return comb(t + r, r) * r**r >= (2 * t + r - 1) ** r
 
 
-@dataclass
-class BoundsReport:
+class BoundsReport(NamedTuple):
     shape: SkewShape
     exact: int
     xi: int
-    lower: dict = field(default_factory=dict)
-    upper: dict = field(default_factory=dict)
-    chains: ChainDecomposition | None = None
-    verdicts: dict = field(default_factory=dict)
-    log_gaps: dict = field(default_factory=dict)
+    lower: dict
+    upper: dict
+    chains: ChainDecomposition
+    verdicts: dict
+    log_gaps: dict
 
     @property
     def all_verdicts_hold(self) -> bool:
@@ -178,27 +173,24 @@ def bounds_report(shape: SkewShape) -> BoundsReport:
     exact = jacobi_trudi_count(shape)
     F = naive_hlf(shape)
     xi = xi_determinant(shape)
-    xi_F = xi * F
     chains = antidiagonal_chains(shape)
-    report = BoundsReport(shape=shape, exact=exact, xi=xi, chains=chains)
-    report.lower = {
+    lower = {
         "rank-factorial": rank_factorial_lower(shape),
         "hp": hp_lower(shape),
         "naive-hlf": F,
     }
-    report.upper = {
+    upper = {
         "chain": chain_upper(shape, chains),
-        "xi-times-F": xi_F,
+        "xi-times-F": xi * F,
         "skew-lr": skew_lr_upper(shape),
     }
-    for name, bound in report.lower.items():
-        report.verdicts[name] = bound <= exact
-    for name, bound in report.upper.items():
-        report.verdicts[name] = exact <= bound
+    verdicts = {name: bound <= exact for name, bound in lower.items()}
+    verdicts.update((name, exact <= bound) for name, bound in upper.items())
+    log_gaps = {}
     if exact > 0:
-        for name, bound in report.lower.items():
+        for name, bound in lower.items():
             if bound > 0:
-                report.log_gaps[name] = log_fraction(Fraction(exact) / bound)
-        for name, bound in report.upper.items():
-            report.log_gaps[name] = log_fraction(Fraction(bound) / exact)
-    return report
+                log_gaps[name] = log_fraction(Fraction(exact) / bound)
+        for name, bound in upper.items():
+            log_gaps[name] = log_fraction(Fraction(bound) / exact)
+    return BoundsReport(shape, exact, xi, lower, upper, chains, verdicts, log_gaps)

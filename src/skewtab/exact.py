@@ -321,32 +321,36 @@ def lr_coefficient(lam, mu, nu, cap: int = DEFAULT_BRUTE_CAP) -> int:
     filling: dict[tuple[int, int], int] = {}
     seen = [0] * (nparts + 1)
 
-    def backtrack(idx: int) -> int:
-        if idx == len(order):
-            return 1
-        i, j = order[idx]
-        lo_v = 1
-        hi_v = nparts
-        right = filling.get((i, j + 1))
-        if right is not None:
-            hi_v = min(hi_v, right)
-        above = filling.get((i - 1, j))
-        if above is not None:
-            lo_v = max(lo_v, above + 1)
-        total = 0
-        for v in range(lo_v, hi_v + 1):
-            if seen[v] >= quota[v - 1]:
-                continue
-            if v > 1 and seen[v] >= seen[v - 1]:
-                continue  # lattice word condition
-            seen[v] += 1
-            filling[i, j] = v
-            total += backtrack(idx + 1)
-            del filling[i, j]
-            seen[v] -= 1
-        return total
+    def entries(i: int, j: int):
+        """The values the filled neighbours allow at (i, j): at most the
+        entry to its right, more than the entry above."""
+        return iter(range(filling.get((i - 1, j), 0) + 1, filling.get((i, j + 1), nparts) + 1))
 
-    return backtrack(0)
+    if not order:
+        return 1
+    # depth first with an explicit stack, whose entry d yields the values
+    # still to try at order[d], so no Python recursion follows |lam/mu|
+    total = 0
+    stack = [entries(*order[0])]
+    while stack:
+        cell = order[len(stack) - 1]
+        v = filling.pop(cell, 0)
+        if v:
+            seen[v] -= 1
+        for v in stack[-1]:
+            # the content quota and the lattice word condition
+            if seen[v] < quota[v - 1] and (v == 1 or seen[v] < seen[v - 1]):
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            total += 1
+            continue
+        seen[v] += 1
+        filling[cell] = v
+        stack.append(entries(*order[len(stack)]))
+    return total
 
 
 # -- principal specialization and hook identities ----------------------------------

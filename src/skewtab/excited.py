@@ -12,9 +12,9 @@ order; enumeration output is deterministic.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isqrt, lcm, prod
+from typing import NamedTuple
 
 from .errors import CapExceeded
 from .exact import (
@@ -303,8 +303,7 @@ def min_max_term(shape: SkewShape) -> tuple[Fraction, Fraction]:
 # -- lattice paths ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PathFamily:
+class PathFamily(NamedTuple):
     """Non-intersecting monotone paths whose union is the complement of an
     excited diagram inside the outer shape."""
 
@@ -466,8 +465,7 @@ def macmahon_xi_superfactorial(k: int) -> int:
 # -- slim shapes ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SlimReport:
+class SlimReport(NamedTuple):
     ell: int
     xi: int
     ratio: Fraction  # xi * prod(inner hooks) / ell^|inner|, tends to 1

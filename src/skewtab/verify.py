@@ -7,8 +7,7 @@ descriptions (empty means the invariants held everywhere).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .bounds import bounds_report
 from .errors import CapExceeded
@@ -36,8 +35,7 @@ def skew_shapes(max_size: int, connected_only: bool = True) -> Iterator[SkewShap
                 yield shape
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     name: str
     checked: int
     failures: list

@@ -595,6 +595,7 @@ def test_numpy_loaded_only_by_quadrature():
         "import sys, skewtab, skewtab.cli",
         "skewtab.cli.main(['count', '4,3,2/2,1'])",
         "assert 'numpy' not in sys.modules, 'numpy loaded without quadrature'",
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules), 'heavy start-up imports'",
         "from skewtab import StableShape, hook_integral, unit_box_log_integral",
         "assert 'numpy' not in sys.modules, 'numpy loaded by a name import'",
         "import skewtab.asymptotics as asy",
@@ -606,6 +607,25 @@ def test_numpy_loaded_only_by_quadrature():
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["e"] == "61"
+
+
+def test_reports_load_no_dataclasses():
+    # the result records are named tuples, so reports need neither module
+    script = "\n".join([
+        "import sys, skewtab.cli",
+        "skewtab.cli.main(['bounds', '4,3,2/2,1'])",
+        "skewtab.cli.main(['verify', '--max-size', '4'])",
+        "assert not {'dataclasses', 'inspect'} & set(sys.modules), 'heavy imports'",
+    ])
+    proc = _fresh_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_lr_depth_is_not_recursion():
+    # 1,500 cells in one row: one stack entry per cell, not one Python frame
+    proc = _fresh_python("-m", "skewtab.cli", "lr", "1500", "-", "1500", "--max-brute", "2000")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"lr": "1"}
 
 
 def _fresh_env():
