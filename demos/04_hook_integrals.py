@@ -3,7 +3,9 @@
 The integral of log(arm + leg) over a scaled diagram drives the second-order
 term of the count.  Midpoint quadrature with a refinement check reproduces
 the three unit-square closed forms to 1e-4 and handles non-rectangular
-regions (square-minus-corner, thick L) through the boundary inverse.
+regions (square-minus-corner, thick L) through the boundary inverse.  The
+cells of each grid column sum in closed form, as a difference of two
+lgamma values, so the quadrature needs only the standard library.
 """
 
 from math import log, sqrt

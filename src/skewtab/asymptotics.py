@@ -5,16 +5,14 @@ the Frobenius-coordinate limit constant.
 This is the only module that touches floating point.  Exact inequalities are
 always checked in integer/fraction arithmetic first; floats only enter when a
 quantity is reported on the log scale.  Quadrature error is controlled by a
-half-resolution refinement check.
-
-numpy is imported inside the quadrature code, never at module level, so that
-``import skewtab`` and every subcommand but ``integrate`` start without it.
+half-resolution refinement check; the midpoint rule sums the cells of each
+column in closed form with ``math.lgamma``, so it needs no array library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, isfinite, log, sqrt
+from math import floor, inf, isfinite, lgamma, log, log1p, nan, sqrt
 from numbers import Real
 from typing import NamedTuple
 
@@ -117,20 +115,11 @@ def corner_constants() -> tuple[float, float, float]:
 
 def _piecewise(pieces, v, fill):
     """Linear interpolation over pieces (lo, a, hi, b), piece i covering
-    lo < v <= hi with values a at lo and b at hi; fill where none covers v.
-
-    A boundary has a handful of pieces, so one pair of comparisons per piece
-    over the whole array beats a binary search per element.
-    """
-    import numpy as np
-
-    v = np.asarray(v, dtype=float)
-    out = np.full_like(v, fill)
+    lo < v <= hi with values a at lo and b at hi; fill where none covers v."""
     for lo, a, hi, b in pieces:
-        m = (lo < v) & (v <= hi)
-        if np.any(m):
-            out[m] = a + (v[m] - lo) / (hi - lo) * (b - a)
-    return out
+        if lo < v <= hi:
+            return a + (v - lo) / (hi - lo) * (b - a)
+    return fill
 
 
 class _Boundary:
@@ -160,25 +149,17 @@ class _Boundary:
             if not (isfinite(x) and isfinite(y)):
                 raise ValueError(f"{name} point {pos} must be finite")
             pts.append((x, y))
-        for pos, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:]), start=2):
+        pairs = list(zip(pts, pts[1:]))
+        for pos, ((x0, y0), (x1, y1)) in enumerate(pairs, start=2):
             if x1 < x0 or y1 > y0:
                 raise ValueError(f"{name} point {pos}: boundary must move right and weakly down")
         self.points = pts
         self.x_min = pts[0][0]
         self.x_max = pts[-1][0]
         self.y_max = pts[0][1]
-        segs = [
-            (x0, y0, x1, y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:]) if x1 > x0
-        ]
-        self._segs = segs
-        # strictly decreasing pieces, reversed: the graph of the inverse
-        inv = [
-            (y1, x1, y0, x0)
-            for (x0, y0), (x1, y1) in zip(pts, pts[1:])
-            if y0 > y1
-        ]
-        inv.reverse()  # ascending in y
-        self._inv = inv
+        self._segs = [(x0, y0, x1, y1) for (x0, y0), (x1, y1) in pairs if x1 > x0]
+        # the strictly decreasing pieces, ascending in y: the graph of the inverse
+        self._inv = [(y1, x1, y0, x0) for (x0, y0), (x1, y1) in reversed(pairs) if y0 > y1]
 
     def ends(self, u, v):
         """Values at u and v of the linear piece over (u, v), which holds no knot."""
@@ -186,8 +167,8 @@ class _Boundary:
         return tuple(y0 + (x - x0) / (x1 - x0) * (y1 - y0) for x in (u, v))
 
     def __call__(self, x):
-        """Height at each x; x_min, where it is the sup, and points outside
-        the domain get y_max."""
+        """Height at x; x_min, where it is the sup, and points outside the
+        domain get y_max."""
         return _piecewise(self._segs, x, self.y_max)
 
     def inverse(self, y):
@@ -249,40 +230,57 @@ class StableShape:
         return cls([(0.0, 2 * s), (s, 2 * s), (s, s), (2 * s, s)])
 
 
-_QUAD_BLOCK = 1 << 14  # grid cells per vectorised block of columns
-GRID_CAP = 1 << 14  # grid columns, checked before any array is allocated
+GRID_CAP = 1 << 14  # grid columns, checked before any work
 REFINE_TOL = 1e-3  # largest accepted change from half resolution
 
 
+def _log_sum(w: float, u: float, count: int) -> float:
+    """Sum of log(w + u (m + 1/2)) over 0 <= m < count; NaN if a term is not
+    positive.  For u > 0 the terms are u z, u (z + 1), ... with z = w/u + 1/2,
+    so the sum is count log u + lgamma(z + count) - lgamma(z), or Stirling's
+    series for that difference where it would cancel most digits."""
+    if u < 0:  # the same terms, summed from the other end
+        w, u = w + u * count, -u
+    if not w < u * 2**52:  # u = 0, or every term the middle one to rounding
+        mid = w + u * count / 2
+        return count * log(mid) if mid > 0 else nan
+    z = w / u + 0.5
+    if not z > 0:
+        return nan
+    if z < 128:
+        return count * log(u) + lgamma(z + count) - lgamma(z)
+    e, r, s = z + count, 1 / z, 1 / (z + count)  # the next series term is below 2e-18
+    return (count * log(u * z) + (e - 0.5) * log1p(count * r) - count
+            + (s - r) / 12 - (s**3 - r**3) / 360 + (s**5 - r**5) / 1260)
+
+
 def _hook_integral_at(shape: StableShape, grid: int) -> float:
-    """Midpoint rule on grid columns, each cut into grid cells of its own height.
-
-    Columns are evaluated a block at a time, but each column's cells are still
-    summed as one row and added to the total in column order, so the result
-    does not depend on the block size.
-    """
-    import numpy as np
-
+    """Midpoint rule on grid columns, each cut into grid cells of its own
+    height.  On each piece of the outer boundary's inverse, and off them where
+    it is x_max, arm + leg is linear in the cell index, so _log_sum applies."""
     outer, inner = shape.outer, shape.inner
     a0, a1 = outer.x_min, outer.x_max
+    inv, fill = outer._inv, (-inf, a1, inf, a1)
+    bands = [(-inf, a1, inv[0][0], a1), *inv, fill] if inv else [fill]
     dx = (a1 - a0) / grid
-    mids = np.arange(grid) + 0.5
-    xs = a0 + dx * mids
-    tops = outer(xs)
-    bots = inner(xs)
-    heights = tops - bots
-    dys = heights / grid
-    cols = np.flatnonzero(heights > 0)
-    step = max(1, _QUAD_BLOCK // grid)
     total = 0.0
-    for start in range(0, len(cols), step):
-        c = cols[start:start + step]
-        ys = bots[c, None] + dys[c, None] * mids
-        arms = outer.inverse(ys) - xs[c, None]
-        legs = tops[c, None] - ys
-        sums = np.log(arms + legs).sum(axis=1)
-        for v, dy in zip(sums.tolist(), dys[c].tolist()):
-            total += v * dx * dy
+    for c in range(grid):
+        x = a0 + dx * (c + 0.5)
+        top, bot = outer(x), inner(x)
+        dy = (top - bot) / grid
+        if not dy > 0:
+            continue
+        col, done = 0.0, 0
+        for lo, a, hi, b in bands:
+            # cells m < end have their midpoints bot + dy (m + 1/2) at most hi;
+            # min(grid, NaN) is grid, so an infinite dy carries NaN to the total
+            end = min(grid, floor(max(-1.0, min(grid, (hi - bot) / dy - 0.5))) + 1)
+            if end > done:
+                y = bot + dy * (done + 0.5)
+                u = dy / (hi - lo) * (b - a) - dy
+                col += _log_sum(outer.inverse(y) - x + (top - y) - u / 2, u, end - done)
+                done = end
+        total += col * dx * dy
     return total
 
 
@@ -293,7 +291,7 @@ def hook_integral(shape: StableShape, grid: int = 512) -> float:
     midpoints never sit on it.  The value at half resolution must agree within
     REFINE_TOL, otherwise the quadrature is declared non-convergent.  A
     non-finite difference (inf - inf is NaN) fails the check too.  The grid is
-    checked against GRID_CAP before any array is allocated.
+    checked against GRID_CAP before any work.
     """
     if grid < 64:
         raise ValueError("grid must be >= 64")
@@ -310,12 +308,9 @@ def hook_integral(shape: StableShape, grid: int = 512) -> float:
 
 def unit_box_log_integral(shift: float, grid: int = 512) -> float:
     """Midpoint quadrature of log(shift + x + y) over the unit square."""
-    import numpy as np
-
     dx = 1.0 / grid
-    mids = dx * (np.arange(grid) + 0.5)
-    vals = np.log(shift + mids[:, None] + mids[None, :])
-    return float(vals.sum()) * dx * dx
+    total = sum(_log_sum(shift + dx * (c + 0.5), dx, grid) for c in range(grid))
+    return total * dx * dx
 
 
 # -- Frobenius-coordinate limit ------------------------------------------------------

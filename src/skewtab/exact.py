@@ -200,9 +200,9 @@ def jacobi_trudi_count(shape: SkewShape) -> int:
     leading minors, which it carries as entries, grow gradually instead of
     being large from the first step.
     """
+    if shape.outer.part(1) < len(shape.outer):
+        shape = shape.conjugate()
     lam, mu = shape.outer, shape.inner
-    if lam.part(1) < len(lam):
-        lam, mu = lam.conjugate(), mu.conjugate()
     ell = len(lam)
     if ell == 0:
         return 1

@@ -275,6 +275,10 @@ class SkewShape:
         depth = max(hooks) if hooks else 0
         return width, depth
 
+    def conjugate(self) -> "SkewShape":
+        """The transposed diagram outer'/inner'."""
+        return SkewShape._trusted(self.outer.conjugate(), self.inner.conjugate())
+
     def canonical(self) -> "SkewShape":
         """Drop empty border rows and shift left so the diagram touches column 1."""
         outer = self.outer.parts

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from math import log, sqrt
+from math import fsum, isnan, log, sqrt
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from skewtab.asymptotics import (
     GRID_CAP,
     StableShape,
     _hook_integral_at,
+    _log_sum,
     TvkData,
     band_constants,
     corner_constants,
@@ -247,7 +249,7 @@ def _reference_hook_integral_at(shape, grid):
     return total
 
 
-_EXACT_GRIDS = (64, 100, 1000, 2048)  # at 1000 the last block of columns is partial
+_REFERENCE_GRIDS = (64, 100, 1000, 2048)
 
 
 def _zero_height_shape():
@@ -264,9 +266,41 @@ def _zero_height_shape():
      _zero_height_shape],
 )
 def test_block_quadrature_matches_reference_exactly(make):
+    # the cells of a column come from lgamma in closed form, the reference
+    # sums their logs one by one, so the two agree to rounding, not bitwise
     shape = make()
-    for grid in _EXACT_GRIDS:
-        assert _hook_integral_at(shape, grid) == _reference_hook_integral_at(shape, grid)
+    for grid in _REFERENCE_GRIDS:
+        want = _reference_hook_integral_at(shape, grid)
+        assert _hook_integral_at(shape, grid) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_thin_regions_match_reference():
+    # arm + leg is far above the cell height, where a bare lgamma difference
+    # would cancel most of its digits
+    for height in (1e-9, 1e-14):
+        shape = StableShape([[0, 1], [1e-9, 1], [1e-9, height], [1, height]])
+        want = _reference_hook_integral_at(shape, 512)
+        assert _hook_integral_at(shape, 512) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_log_sum_matches_fsum():
+    rng = random.Random(7)
+    for _ in range(500):
+        count = rng.choice([1, 2, 5, 64, 511])
+        u = rng.choice([-1, 1]) * 10 ** rng.uniform(-12, 3)
+        z = 10 ** rng.uniform(-3, 17)  # the smallest term, in units of |u|
+        w = abs(u) * (z - 0.5) - (u * count if u < 0 else 0)
+        logs = [log(w + u * (m + 0.5)) for m in range(count)]
+        tol = 1e-13 * (count + fsum(map(abs, logs)))
+        assert abs(_log_sum(w, u, count) - fsum(logs)) <= tol, (w, u, count)
+
+
+def test_log_sum_not_positive_is_nan():
+    for w, u, count in [
+        (-1.0, 0.5, 3), (0.0, 0.0, 4), (-0.25, 0.5, 1), (1.0, -1.0, 2),
+        (1.0, -0.4, 3), (float("nan"), 1.0, 2), (1.0, float("nan"), 2),
+    ]:
+        assert isnan(_log_sum(w, u, count)), (w, u, count)
 
 
 def test_zero_height_columns_value():
@@ -299,15 +333,18 @@ def test_boundary_matches_reference_bitwise(shape, extra):
         pts = np.array(sorted(set(knots + near + extra + list(np.linspace(0, 1, 101)))))
         xs = pts[(b.x_min <= pts) & (pts <= b.x_max)]
         ys = pts[(0.0 <= pts) & (pts <= b.y_max)]
-        assert b(xs).tobytes() == _reference_call(b, xs).tobytes()
-        assert b.inverse(ys).tobytes() == _reference_inverse(b, ys).tobytes()
+        heights = [b(x) for x in xs.tolist()]
+        rows = [b.inverse(y) for y in ys.tolist()]
+        assert np.array(heights).tobytes() == _reference_call(b, xs).tobytes()
+        assert np.array(rows).tobytes() == _reference_inverse(b, ys).tobytes()
 
 
 @settings(max_examples=15, deadline=None)
 @given(staircase_shapes())
 def test_block_quadrature_matches_reference_on_staircases(shape):
-    for grid in _EXACT_GRIDS[:3]:
-        assert _hook_integral_at(shape, grid) == _reference_hook_integral_at(shape, grid)
+    for grid in _REFERENCE_GRIDS[:3]:
+        want = _reference_hook_integral_at(shape, grid)
+        assert _hook_integral_at(shape, grid) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_tvk_constant():

@@ -314,6 +314,14 @@ def test_integrate_non_finite_is_not_converged(capsys):
     assert err.count("\n") == 1
 
 
+def test_integrate_extreme_scales(capsys):
+    # a per-cell change of the inverse taken as one slope, -1e400, would overflow
+    spec = '{"outer": [[0, 1e-200], [1e200, 0]]}'
+    code, out, _ = run_cli(capsys, "integrate", spec, "--grid", "512")
+    assert code == 0
+    assert '"integral": "229.508846315"' in out
+
+
 def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
     # simulated: the shape and the quadrature raise as an allocation that size would
     def exhausted(*args, **kwargs):
@@ -594,15 +602,14 @@ def test_numpy_loaded_only_by_quadrature():
     script = "\n".join([
         "import sys, skewtab, skewtab.cli",
         "skewtab.cli.main(['count', '4,3,2/2,1'])",
-        "assert 'numpy' not in sys.modules, 'numpy loaded without quadrature'",
+        "assert 'numpy' not in sys.modules, 'numpy loaded by a subcommand'",
         "assert not {'dataclasses', 'inspect'} & set(sys.modules), 'heavy start-up imports'",
         "from skewtab import StableShape, hook_integral, unit_box_log_integral",
-        "assert 'numpy' not in sys.modules, 'numpy loaded by a name import'",
         "import skewtab.asymptotics as asy",
         "assert asy.StableShape is StableShape and asy.hook_integral is hook_integral",
         "assert abs(hook_integral(asy.StableShape.unit_square(), 128) + 0.1137) < 1e-3",
         "assert abs(unit_box_log_integral(0.0, 128) + 0.1137) < 1e-3",
-        "assert 'numpy' in sys.modules",
+        "assert 'numpy' not in sys.modules, 'numpy loaded by the quadrature'",
     ])
     proc = _fresh_python("-c", script)
     assert proc.returncode == 0, proc.stderr

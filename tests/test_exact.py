@@ -34,10 +34,6 @@ from skewtab.shapes import (
 from skewtab.verify import skew_shapes
 
 
-def _conjugate(shape):
-    return SkewShape(shape.outer.conjugate(), shape.inner.conjugate())
-
-
 def test_factorial_families():
     assert superfactorial(3) == 12
     assert superfactorial(0) == 1
@@ -142,7 +138,7 @@ def test_jacobi_trudi_tall_shapes(monkeypatch):
     ):
         e = jacobi_trudi_count(shape)
         assert e > 0
-        assert e == jacobi_trudi_count(_conjugate(shape))
+        assert e == jacobi_trudi_count(shape.conjugate())
         assert e == jacobi_trudi_count(shape.rotate180())
 
 

@@ -62,6 +62,9 @@ def test_conjugate():
     for parts in partitions_of(7):
         lam = Partition(parts)
         assert lam.conjugate().conjugate() == lam
+    shape = SkewShape([5, 3, 1], [2, 2])
+    assert shape.conjugate() == SkewShape([3, 2, 2, 1, 1], [2, 2])
+    assert sorted(shape.conjugate().cells()) == sorted((j, i) for i, j in shape.cells())
 
 
 def _hook_by_scan(lam, i, j):

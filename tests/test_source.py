@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import sys
 from graphlib import TopologicalSorter
 from pathlib import Path
 
@@ -59,6 +60,26 @@ def test_package_imports_at_module_level_and_acyclic():
     # raises graphlib.CycleError, naming the cycle, if there is one
     tuple(TopologicalSorter(graph).static_order())
     assert graph["cli"] >= {"asymptotics", "bounds", "exact", "excited", "verify"}
+
+
+def test_package_needs_only_the_standard_library():
+    # the runtime dependency list is empty; an import anywhere, even inside a
+    # function, is relative or names a standard-library module
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {name}"
+                for name in names
+                if name.split(".")[0] not in sys.stdlib_module_names
+            ]
+    assert found == []
 
 
 def test_benchmark_tracer_names_resolve():
