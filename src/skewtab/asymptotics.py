@@ -284,6 +284,13 @@ def _hook_integral_at(shape: StableShape, grid: int) -> float:
     return total
 
 
+def _check_grid(grid: int) -> None:
+    if grid < 64:
+        raise ValueError("grid must be >= 64")
+    if grid > GRID_CAP:
+        raise CapExceeded(f"grid must be <= {GRID_CAP}")
+
+
 def hook_integral(shape: StableShape, grid: int = 512) -> float:
     """Midpoint quadrature of log(arm + leg) over the region between the curves.
 
@@ -293,10 +300,7 @@ def hook_integral(shape: StableShape, grid: int = 512) -> float:
     non-finite difference (inf - inf is NaN) fails the check too.  The grid is
     checked against GRID_CAP before any work.
     """
-    if grid < 64:
-        raise ValueError("grid must be >= 64")
-    if grid > GRID_CAP:
-        raise CapExceeded(f"grid must be <= {GRID_CAP}")
+    _check_grid(grid)
     coarse = _hook_integral_at(shape, grid // 2)
     fine = _hook_integral_at(shape, grid)
     if not abs(fine - coarse) <= REFINE_TOL:
@@ -307,7 +311,11 @@ def hook_integral(shape: StableShape, grid: int = 512) -> float:
 
 
 def unit_box_log_integral(shift: float, grid: int = 512) -> float:
-    """Midpoint quadrature of log(shift + x + y) over the unit square."""
+    """Midpoint quadrature of log(shift + x + y) over the unit square, for a
+    finite shift >= 0; the grid is checked as in hook_integral."""
+    if not 0 <= shift < inf:
+        raise ValueError("shift must be a finite number >= 0")
+    _check_grid(grid)
     dx = 1.0 / grid
     total = sum(_log_sum(shift + dx * (c + 0.5), dx, grid) for c in range(grid))
     return total * dx * dx

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import asymptotics, bounds, exact, excited, shapes, verify
 from .errors import CapExceeded
@@ -26,13 +25,6 @@ EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_PIPE = 141
-
-
-def _num(value) -> str:
-    """Decimal-string serialization for ints and fractions."""
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return str(value.numerator)
-    return str(value)
 
 
 def _flt(value: float) -> str:
@@ -69,9 +61,9 @@ def cmd_count(args) -> int:
     doc = {
         "shape": shape_text(shape),
         "n": shape.size,
-        "e": _num(e),
-        "F": _num(F),
-        "xi": _num(xi),
+        "e": str(e),
+        "F": str(F),
+        "xi": str(xi),
     }
     if args.format == "text":
         for key, val in doc.items():
@@ -87,23 +79,21 @@ def cmd_bounds(args) -> int:
     doc = {
         "shape": shape_text(shape),
         "n": shape.size,
-        "exact": _num(report.exact),
-        "xi": _num(report.xi),
-        "lower": {k: _num(v) for k, v in report.lower.items()},
-        "upper": {k: _num(v) for k, v in report.upper.items()},
-        "chain-sizes": list(report.chains.sizes),
+        "exact": str(report.exact),
+        "xi": str(report.xi),
+        "lower": {k: str(v) for k, v in report.lower.items()},
+        "upper": {k: str(v) for k, v in report.upper.items()},
+        "chain-sizes": report.chains.sizes,
         "verdicts": report.verdicts,
         "log-gaps": {k: _flt(v) for k, v in report.log_gaps.items()},
     }
     if args.format == "text":
         print(f"shape {doc['shape']}  n={doc['n']}  exact={doc['exact']}  xi={doc['xi']}")
-        width = max(len(k) for k in list(report.lower) + list(report.upper))
-        for k, v in report.lower.items():
-            mark = "ok" if report.verdicts[k] else "FAIL"
-            print(f"  lower {k:<{width}} {_num(v):>24}  {mark}")
-        for k, v in report.upper.items():
-            mark = "ok" if report.verdicts[k] else "FAIL"
-            print(f"  upper {k:<{width}} {_num(v):>24}  {mark}")
+        width = max(map(len, [*report.lower, *report.upper]))
+        for side, values in (("lower", report.lower), ("upper", report.upper)):
+            for k, v in values.items():
+                mark = "ok" if report.verdicts[k] else "FAIL"
+                print(f"  {side} {k:<{width}} {str(v):>24}  {mark}")
     else:
         _emit_json(doc)
     return EXIT_OK if report.all_verdicts_hold else EXIT_VERDICT
@@ -129,14 +119,11 @@ def cmd_excited(args) -> int:
         return EXIT_OK
     doc = {
         "shape": shape_text(shape),
-        "xi": _num(len(diagrams)),
-        "diagrams": [[[i, j] for i, j in d] for d in diagrams],
+        "xi": str(len(diagrams)),
+        "diagrams": diagrams,
     }
     if args.paths:
-        doc["paths"] = [
-            [[[i, j] for i, j in path] for path in excited.paths_from_diagram(shape, d).paths]
-            for d in diagrams
-        ]
+        doc["paths"] = [excited.paths_from_diagram(shape, d).paths for d in diagrams]
     _emit_json(doc)
     return EXIT_OK
 
@@ -147,10 +134,10 @@ def cmd_nhlf(args) -> int:
     lo, hi = excited.min_max_term(shape)
     doc = {
         "shape": shape_text(shape),
-        "e": _num(e),
-        "xi": _num(excited.xi_determinant(shape)),
-        "min-term": _num(lo),
-        "max-term": _num(hi),
+        "e": str(e),
+        "xi": str(excited.xi_determinant(shape)),
+        "min-term": str(lo),
+        "max-term": str(hi),
     }
     _emit_json(doc)
     return EXIT_OK
@@ -225,7 +212,7 @@ def cmd_lr(args) -> int:
     mu = shapes.parse_partition(args.mu)
     nu = shapes.parse_partition(args.nu)
     c = exact.lr_coefficient(lam, mu, nu, cap=_cap(args.max_brute, "--max-brute"))
-    _emit_json({"lr": _num(c)})
+    _emit_json({"lr": str(c)})
     return EXIT_OK
 
 

@@ -123,7 +123,6 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     a = [row[:] for row in mat]
     row_awake = [False] * n
     col_awake = [False] * n
-    asleep = list(range(n))  # the columns still asleep
     sign = 1
     prev = 1
     last = n - 1
@@ -138,22 +137,20 @@ def _bareiss_det(mat: list[list[int]]) -> int:
             else:
                 return 0
         row_k = a[k]
-        if asleep:
-            woken = [j for j in asleep if row_k[j]]
-            if woken:
-                asleep = [j for j in asleep if not row_k[j]]
-                for j in woken:
-                    col_awake[j] = True
-                if prev != 1:
-                    for i in range(k, n):
-                        if row_awake[i]:
-                            row_i = a[i]
-                            for j in woken:
-                                row_i[j] *= prev
-        if asleep:
-            cols = [j for j in range(k + 1, n) if col_awake[j]]
-        else:
+        if False not in col_awake:
             cols = range(k + 1, n)
+        else:
+            # every column before k woke at its own pivot, at the latest
+            woken = [j for j in range(k, n) if not col_awake[j] and row_k[j]]
+            for j in woken:
+                col_awake[j] = True
+            if woken and prev != 1:
+                for i in range(k, n):
+                    if row_awake[i]:
+                        row_i = a[i]
+                        for j in woken:
+                            row_i[j] *= prev
+            cols = [j for j in range(k + 1, n) if col_awake[j]]
         if not row_awake[k]:
             row_awake[k] = True
             if prev != 1:

@@ -137,6 +137,28 @@ def test_quadrature_convergence_order():
     assert all(2.5 < r < 6 for r in ratios)  # near second-order convergence
 
 
+@pytest.mark.parametrize("grid", [0, -4, 63])
+def test_unit_box_grid_below_minimum(grid):
+    with pytest.raises(ValueError, match="grid must be >= 64"):
+        unit_box_log_integral(0.0, grid)
+
+
+def test_unit_box_grid_cap_checked_first(monkeypatch):
+    def column(*args):
+        raise AssertionError("quadrature ran past the grid cap")
+
+    monkeypatch.setattr(asymptotics, "_log_sum", column)
+    for grid in (GRID_CAP + 1, 10**20):
+        with pytest.raises(CapExceeded, match=f"grid must be <= {GRID_CAP}"):
+            unit_box_log_integral(0.0, grid)
+
+
+@pytest.mark.parametrize("shift", [-0.5, float("nan"), float("inf")])
+def test_unit_box_shift_must_be_finite_and_nonnegative(shift):
+    with pytest.raises(ValueError, match="shift must be a finite number >= 0"):
+        unit_box_log_integral(shift, 64)
+
+
 def test_hook_integral_shapes():
     c1, c2, c3 = corner_constants()
     sq = StableShape.unit_square()
@@ -265,7 +287,7 @@ def _zero_height_shape():
     [StableShape.unit_square, StableShape.inverted_thick_hook, StableShape.thick_l,
      _zero_height_shape],
 )
-def test_block_quadrature_matches_reference_exactly(make):
+def test_quadrature_matches_reference_to_rounding(make):
     # the cells of a column come from lgamma in closed form, the reference
     # sums their logs one by one, so the two agree to rounding, not bitwise
     shape = make()
@@ -341,7 +363,7 @@ def test_boundary_matches_reference_bitwise(shape, extra):
 
 @settings(max_examples=15, deadline=None)
 @given(staircase_shapes())
-def test_block_quadrature_matches_reference_on_staircases(shape):
+def test_quadrature_matches_reference_on_staircases(shape):
     for grid in _REFERENCE_GRIDS[:3]:
         want = _reference_hook_integral_at(shape, grid)
         assert _hook_integral_at(shape, grid) == pytest.approx(want, rel=1e-12, abs=0)

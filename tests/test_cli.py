@@ -41,6 +41,55 @@ def test_count_text_format(capsys):
     assert out == "shape: 4,4,3,2/2,1\nn: 10\ne: 3060\nF: 1260\nxi: 5\n"
 
 
+# the whole stdout of `bounds 4,4,3,2/2,1 --format text`; hp is a Fraction
+BOUNDS_TEXT = """\
+shape 4,4,3,2/2,1  n=10  exact=3060  xi=5
+  lower rank-factorial                      864  ok
+  lower hp                                  672  ok
+  lower naive-hlf                          1260  ok
+  upper chain                             16800  ok
+  upper xi-times-F                         6300  ok
+  upper skew-lr                          241920  ok
+"""
+
+
+def test_bounds_text_format(capsys):
+    assert run_cli(capsys, "bounds", "4,4,3,2/2,1", "--format", "text") == (0, BOUNDS_TEXT, "")
+
+
+# the JSON documents for a shape whose naive hook value F = 40/3 is not an integer
+RATIONAL_DOCS = {
+    "count": {"shape": "3,2,1/1", "n": 5, "e": "16", "F": "40/3", "xi": "2"},
+    "bounds": {
+        "shape": "3,2,1/1",
+        "n": 5,
+        "exact": "16",
+        "xi": "2",
+        "lower": {"rank-factorial": "12", "hp": "40/3", "naive-hlf": "40/3"},
+        "upper": {"chain": "30", "xi-times-F": "80/3", "skew-lr": "45"},
+        "chain-sizes": [2, 2, 1],
+        "verdicts": dict.fromkeys(
+            ["rank-factorial", "hp", "naive-hlf", "chain", "xi-times-F", "skew-lr"], True
+        ),
+        "log-gaps": {
+            "rank-factorial": "0.287682072452",
+            "hp": "0.182321556794",
+            "naive-hlf": "0.182321556794",
+            "chain": "0.628608659422",
+            "xi-times-F": "0.510825623766",
+            "skew-lr": "1.03407376753",
+        },
+    },
+    "nhlf": {"shape": "3,2,1/1", "e": "16", "xi": "2", "min-term": "1/45", "max-term": "1/9"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(RATIONAL_DOCS))
+def test_rational_json_bytes(capsys, command):
+    want = json.dumps(RATIONAL_DOCS[command], indent=2) + "\n"
+    assert run_cli(capsys, command, "thick-ribbon:k=2") == (0, want, "")
+
+
 def test_count_single_cell(capsys):
     code, out, _ = run_cli(capsys, "count", "1")
     assert code == 0
@@ -597,7 +646,7 @@ def test_verify_failure_exit(monkeypatch, capsys):
     assert "injected" in out
 
 
-def test_numpy_loaded_only_by_quadrature():
+def test_numpy_never_loaded():
     # a fresh interpreter: other tests have already loaded numpy into this one
     script = "\n".join([
         "import sys, skewtab, skewtab.cli",
