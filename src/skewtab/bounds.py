@@ -104,11 +104,11 @@ def hp_lower(shape: SkewShape) -> Fraction:
     """n! over the product of upper-ideal sizes.
 
     The bound is orientation dependent, so it is evaluated on the shape and
-    on its 180-degree rotation and the larger value is returned.  The sizes
-    are multiplied in row by row as `_suffix_sums` produces them.
+    on its 180-degree rotation, and the larger value (smaller product) is
+    returned.  The sizes are multiplied in row by row as `_suffix_sums` yields them.
     """
-    n = factorial(shape.size)
-    return max(Fraction(n, prod(map(prod, _suffix_sums(s)))) for s in (shape, shape.rotate180()))
+    products = (prod(map(prod, _suffix_sums(s))) for s in (shape, shape.rotate180()))
+    return Fraction(factorial(shape.size), min(products))
 
 
 def skew_lr_upper(shape: SkewShape) -> Fraction:

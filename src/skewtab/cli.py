@@ -153,7 +153,7 @@ def _parse_range(spec: str) -> list[int]:
     lo, hi, step = ints if len(ints) == 3 else (*ints, 1)
     if step == 0:
         raise ShapeParseError("--k step must not be zero")
-    ks = list(range(lo, hi + 1, step))
+    ks = list(range(lo, hi + (1 if step > 0 else -1), step))  # HI included
     if not ks:
         raise ShapeParseError(f"--k range {shapes.quote_prefix(spec)} is empty")
     return ks
@@ -284,7 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape")
 
     p = add("family", cmd_family, "CSV report over a parametric family")
-    p.add_argument("family", choices=sorted(shapes.FAMILY_BUILDERS))
+    # a sweep sets k (ell for slim-stripe), which regev-vershik does not take
+    p.add_argument("family", choices=sorted(set(shapes.FAMILY_BUILDERS) - {"regev-vershik"}))
     p.add_argument("--k", required=True, help="K, LO:HI or LO:HI:STEP")
     p.add_argument("--m", default=None, help="extra column-length parameter")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 from .errors import CapExceeded
 from .shapes import Partition, SkewShape, regev_vershik_shape
@@ -184,12 +184,14 @@ def jacobi_trudi_count(shape: SkewShape) -> int:
     With a_i = outer_i - i + l and b_j = inner_j - j + l, the factorial
     determinant n! det[1/(a_i - b_j)!] equals
 
-        n! * prod b_j! / prod a_i! * det[C(a_i, b_j)],
+        n! * det[C(a_i, b_j)] / prod_i (a_i! / b_i!),
 
     so the matrix holds plain binomials (C(a, b) = 0 for b > a) and Bareiss
-    elimination works on small integers.  Since e(outer/inner) equals the
-    count of the conjugate shape, the determinant is taken on whichever side
-    has fewer rows: the matrix dimension is min(l(outer), outer_1).
+    elimination works on small integers.  Row i's quotient a_i! / b_i! is
+    the falling factorial perm(a_i, a_i - b_i), of length outer_i - inner_i
+    >= 0.  Since e(outer/inner) equals the count of the conjugate shape, the
+    determinant is taken on whichever side has fewer rows: the matrix
+    dimension is min(l(outer), outer_1).
 
     a and b are listed in increasing order (i, j = l, ..., 1), which turns
     the matrix by 180 degrees and leaves its determinant unchanged.  Bareiss
@@ -206,13 +208,8 @@ def jacobi_trudi_count(shape: SkewShape) -> int:
     a = [lam.part(i) - i + ell for i in range(ell, 0, -1)]
     b = [mu.part(j) - j + ell for j in range(ell, 0, -1)]
     det = _bareiss_det([[comb(ai, bj) for bj in b] for ai in a])
-    num = factorial(shape.size) * det
-    for bj in b:
-        num *= factorial(bj)
-    denom = 1
-    for ai in a:
-        denom *= factorial(ai)
-    count = _exact_quotient(num, denom, "determinant count")
+    denom = prod(perm(ai, ai - bi) for ai, bi in zip(a, b))
+    count = _exact_quotient(factorial(shape.size) * det, denom, "determinant count")
     if count < 0:
         raise ArithmeticError("determinant count is negative")
     return count

@@ -191,7 +191,7 @@ def test_quadrature():
         assert round(c2, 4) == 0.6712
         assert round(c3, 4) == 1.0891
         for shift, want in ((0.0, c1), (1.0, c2), (2.0, c3)):
-            assert abs(unit_box_log_integral(shift, 512) - want) <= 1e-4
+            assert abs(unit_box_log_integral(shift) - want) <= 1e-4
 
 
 def test_slim_shape_suite():

@@ -124,39 +124,41 @@ def test_corner_constants_closed_forms():
     assert round(c3, 4) == 1.0891
 
 
+def _unit_box_midpoint(shift, grid):
+    """The midpoint rule for the unit-box integral, each column summed by
+    _log_sum: the quadrature the closed form replaced."""
+    dx = 1.0 / grid
+    return sum(_log_sum(shift + dx * (c + 0.5), dx, grid) for c in range(grid)) * dx * dx
+
+
+def test_corner_constants_are_unit_box_values():
+    assert corner_constants() == tuple(unit_box_log_integral(s) for s in (0, 1, 2))
+
+
 def test_unit_box_quadrature():
-    c1, c2, c3 = corner_constants()
-    for shift, want in ((0.0, c1), (1.0, c2), (2.0, c3)):
-        assert abs(unit_box_log_integral(shift, 512) - want) < 1e-4
+    for shift in (0.0, 0.5, 1.0, 3.7):
+        assert abs(unit_box_log_integral(shift) - _unit_box_midpoint(shift, 4096)) < 1e-7
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.floats(0.0, 64.0), st.floats(64.0, 1e300)))
+def test_unit_box_closed_form_matches_midpoint_sum(shift):
+    # the midpoint rule's error at grid 1,024 is largest at shift 0, about 6e-7
+    assert abs(unit_box_log_integral(shift) - _unit_box_midpoint(shift, 1024)) < 1e-6
 
 
 def test_quadrature_convergence_order():
     c1, _, _ = corner_constants()
-    errs = [abs(unit_box_log_integral(0.0, g) - c1) for g in (64, 128, 256)]
+    square = StableShape.unit_square()
+    errs = [abs(_hook_integral_at(square, g) - c1) for g in (64, 128, 256)]
     ratios = [errs[i] / errs[i + 1] for i in range(2)]
     assert all(2.5 < r < 6 for r in ratios)  # near second-order convergence
-
-
-@pytest.mark.parametrize("grid", [0, -4, 63])
-def test_unit_box_grid_below_minimum(grid):
-    with pytest.raises(ValueError, match="grid must be >= 64"):
-        unit_box_log_integral(0.0, grid)
-
-
-def test_unit_box_grid_cap_checked_first(monkeypatch):
-    def column(*args):
-        raise AssertionError("quadrature ran past the grid cap")
-
-    monkeypatch.setattr(asymptotics, "_log_sum", column)
-    for grid in (GRID_CAP + 1, 10**20):
-        with pytest.raises(CapExceeded, match=f"grid must be <= {GRID_CAP}"):
-            unit_box_log_integral(0.0, grid)
 
 
 @pytest.mark.parametrize("shift", [-0.5, float("nan"), float("inf")])
 def test_unit_box_shift_must_be_finite_and_nonnegative(shift):
     with pytest.raises(ValueError, match="shift must be a finite number >= 0"):
-        unit_box_log_integral(shift, 64)
+        unit_box_log_integral(shift)
 
 
 def test_hook_integral_shapes():

@@ -275,6 +275,33 @@ def test_family_csv(capsys):
     assert lines[1].endswith(",true")
 
 
+@pytest.mark.parametrize("spec, ks", [
+    ("2:6:2", [2, 4, 6]), ("6:2:-2", [6, 4, 2]), ("2:7:2", [2, 4, 6]), ("7:2:-2", [7, 5, 3]),
+])
+def test_family_range_includes_hi_for_either_step_sign(capsys, spec, ks):
+    code, out, _ = run_cli(capsys, "family", "square", "--k", spec)
+    assert code == 0
+    assert [int(line.split(",")[1]) for line in out.splitlines()[1:]] == ks
+
+
+@pytest.mark.parametrize("spec", ["6:2:2", "2:6:-2"])
+def test_family_range_stepping_away_from_hi_is_empty(capsys, spec):
+    code, _, err = run_cli(capsys, "family", "square", "--k", spec)
+    assert code == 2
+    assert "is empty" in err
+
+
+def test_every_family_choice_prints_a_row(capsys):
+    _, usage, _ = run_cli(capsys, "family", "--help")
+    choices = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+    assert len(choices) == 8 and "regev-vershik" not in choices  # it takes no k
+    for family in choices:
+        extra = ["--m", "2"] if family == "ribbon-rho" else []
+        code, out, err = run_cli(capsys, "family", family, "--k", "2", *extra)
+        assert code == 0, (family, err)
+        assert out.splitlines()[1].startswith(f"{family},2,")
+
+
 def test_integrate_inline(capsys):
     code, out, _ = run_cli(
         capsys, "integrate", '{"outer": [[0, 1], [1, 1]]}', "--grid", "256"
@@ -657,7 +684,7 @@ def test_numpy_never_loaded():
         "import skewtab.asymptotics as asy",
         "assert asy.StableShape is StableShape and asy.hook_integral is hook_integral",
         "assert abs(hook_integral(asy.StableShape.unit_square(), 128) + 0.1137) < 1e-3",
-        "assert abs(unit_box_log_integral(0.0, 128) + 0.1137) < 1e-3",
+        "assert abs(unit_box_log_integral(0.0) + 0.1137) < 1e-3",
         "assert 'numpy' not in sys.modules, 'numpy loaded by the quadrature'",
     ])
     proc = _fresh_python("-c", script)

@@ -98,3 +98,28 @@ def test_benchmark_tracer_names_resolve():
         if not callable(owner):
             missing.append(f"{mod_name}.{attr}")
     assert missing == []
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is an option that does
+    # nothing; a read in a nested function or lambda counts
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            found += [
+                f"{path.name}:{node.lineno} {p.arg}"
+                for p in params
+                if p is not None and p.arg not in read
+            ]
+    assert found == []
