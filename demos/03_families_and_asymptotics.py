@@ -6,6 +6,8 @@ inside a closed-form band.  The same machinery runs for squares and the
 inverted thick hooks.
 """
 
+from math import log
+
 from skewtab import (
     band_constants,
     family_report,
@@ -34,8 +36,11 @@ print("\nsquares: c_k decreasing toward", f"{band_constants('square').exact:.4f}
 for k in range(3, 8):
     print(f"  k={k}: c_k = {second_order_constant(square_shape(k)):+.6f}")
 
+# (2k)^(2k)/k^k has n = 3k^2 cells, so its band is on the scale
+# (log e - n log k) / n, which is c_k - ln(3)/2
 band = band_constants("inverted-thick-hook")
-print(f"\ninverted thick hooks: band ({band.lower:.4f}, {band.upper:.4f}), "
-      f"second constant {band.exact:.4f}")
+print(f"\ninverted thick hooks: band ({band.lower:.4f}, {band.upper:.4f}) and limit "
+      f"{band.exact:.4f} of (log e - n log k) / n;\n"
+      f"  c_k is ln(3)/2 larger and tends to {band.exact + log(3) / 2:.4f}")
 print("excited counts are plane partitions in a cube:",
       [macmahon_xi(k) for k in range(1, 6)])

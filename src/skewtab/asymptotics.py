@@ -83,7 +83,14 @@ class BandConstants(NamedTuple):
 
 
 def band_constants(kind: str) -> BandConstants:
-    """Closed-form second-term band constants for the supported families."""
+    """Closed-form second-term band constants for the supported families.
+
+    The thick-ribbon and square values are on the scale of c_k, the limit of
+    (log e - n log n / 2) / n.  The inverted thick hook (2k)^(2k)/k^k, with
+    n = 3k^2 cells, is measured against its side k instead: its values are
+    limits of (log e - n log k) / n, which is c_k - ln(3)/2, so its c_k tends
+    to exact + ln(3)/2 = -0.7379.
+    """
     l2, l3 = log(2), log(3)
     if kind == "thick-ribbon":
         lower = 1 / 6 - 1.5 * l2 + 0.5 * l3
@@ -478,9 +485,7 @@ def family_row(kind: str, k: int, **extra) -> FamilyRow:
     The verdict is the exact sandwich F <= e <= xi * F, checked in rational
     arithmetic before anything is floated.
     """
-    params = {_SWEEP_KEY.get(kind, "k"): k}
-    params.update(extra)
-    shape = ShapeFamily(kind, **params).build()
+    shape = _family_member(kind, k, extra).build()
     n = shape.size
     e = jacobi_trudi_count(shape)
     F = naive_hlf(shape)
@@ -498,5 +503,14 @@ def family_row(kind: str, k: int, **extra) -> FamilyRow:
     )
 
 
+def _family_member(kind: str, k: int, extra: dict) -> ShapeFamily:
+    return ShapeFamily(kind, **{_SWEEP_KEY.get(kind, "k"): k}, **extra)
+
+
 def family_report(kind: str, ks, **extra) -> list[FamilyRow]:
+    """family_row over ks.  Every member's parameters, and its size against
+    shapes.FAMILY_CELL_CAP, are checked before the first is built."""
+    ks = list(ks)
+    for k in ks:
+        _family_member(kind, k, extra)
     return [family_row(kind, k, **extra) for k in ks]

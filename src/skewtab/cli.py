@@ -161,9 +161,14 @@ def _parse_range(spec: str) -> list[int]:
 
 def cmd_family(args) -> int:
     ks = _parse_range(args.k)
+    required, accepted = shapes._family_params(args.family)
     extra = {}
     if args.m is not None:
+        if "m" not in accepted:
+            raise ShapeParseError(f"family '{args.family}' takes no --m")
         extra["m"] = shapes.parse_int(args.m, "--m")
+    elif "m" in required:
+        raise ShapeParseError(f"family '{args.family}' needs --m")
     rows = asymptotics.family_report(args.family, ks, **extra)
     lines = ["family,k,n,log_e_exact,c_k,logF,logXi,verdict"]
     for r in rows:

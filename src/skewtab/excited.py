@@ -5,8 +5,11 @@ and the closed product forms.
 An excited diagram of outer/inner is any cell set reachable from the inner
 diagram by moves (i, j) -> (i+1, j+1), allowed when the three cells to the
 right, below, and diagonally below-right are all free cells of the outer
-shape.  Diagrams are represented as tuples of cells sorted in reading
-order; enumeration output is deterministic.
+shape.  The diagrams are in bijection with the flagged tableaux of the
+inner shape, and the enumeration lists them in the lexicographic order of
+those tableaux, read in reading order: the inner diagram first and the top
+diagram, which admits no move, last.  Diagrams are represented as tuples
+of cells sorted in reading order; enumeration output is deterministic.
 """
 
 from __future__ import annotations
@@ -32,36 +35,75 @@ Diagram = tuple[tuple[int, int], ...]
 
 
 def enumerate_excited(shape: SkewShape, cap: int = DEFAULT_CELL_CAP) -> list[Diagram]:
-    """All excited diagrams, breadth-first from the inner shape.
+    """All excited diagrams, each once, in the lexicographic order of their
+    flagged tableaux: the inner diagram first, `top_excited_diagram` last.
 
-    The same diagram is reachable along many move orders, so states are
-    deduplicated by their sorted cell set.  The first element is always the
-    inner diagram itself.  The search stores xi * |inner| cells, xi the
-    number of diagrams by the flag determinant; that product is checked
-    against cap before the search starts, and the number of diagrams found
-    against xi after it ends.
+    The diagrams are the flagged tableaux of the inner shape (Wachs;
+    Morales-Pak-Panova): rows weakly increase, columns strictly increase,
+    and entry t in inner cell (i, j), at least i and at most row i's flag,
+    puts the diagram's cell at (t, t + j - i).  The fill goes depth first
+    through the inner cells in reading order and tries each entry upwards,
+    up to the top tableau's entry T(i, j) = min(flag_i, T(i + 1, j) - 1)
+    (flag_i where (i + 1, j) is not inner), so every partial filling
+    completes and none is tried twice.  All diagrams share one tuple per
+    outer cell.  The list holds xi * |inner| cell references, xi the number
+    of diagrams by the flag determinant; that product is checked against
+    cap before the fill starts, and the number of diagrams filled against
+    xi after it ends.
     """
     xi = xi_determinant(shape)
     if xi * shape.inner.size > cap:
         raise CapExceeded(
             f"excited enumeration needs xi * |inner| <= {cap} cells, got {xi} * {shape.inner.size}"
         )
-    lam = shape.outer
-    start = tuple(shape.inner.cells())
-    seen = {start}
-    order = [start]
-    for diagram in order:  # breadth-first: the loop reaches what it appends
-        occupied = set(diagram)
-        for i, j in diagram:
-            moved = _excited_move(lam, occupied, i, j)
-            if moved is not None and moved not in seen:
-                seen.add(moved)
-                order.append(moved)
-    if len(order) != xi:
+    mu = shape.inner.parts
+    n = shape.inner.size
+    flags = row_flags(shape)
+    # Per inner cell k in reading order, from the last back: where `entry`
+    # holds the entries to its left and above it (n, whose entry stays 0,
+    # where it has none), and its top entry, which increases weakly along
+    # the row, so the entry to its right never binds.  spots[k][t] is the
+    # diagram's cell for entry t, one tuple per outer cell down each
+    # diagonal, made at the diagonal's last cell, whose top entry is largest.
+    plan = [None] * n
+    spots = [None] * n
+    diagonals: dict[int, list[tuple[int, int]]] = {}
+    k = n
+    for i in range(len(mu), 0, -1):
+        for j in range(mu[i - 1], 0, -1):
+            k -= 1
+            hi = flags[i - 1]
+            if i < len(mu) and j <= mu[i]:
+                hi = min(hi, plan[k + mu[i - 1]][2] - 1)
+            plan[k] = (k - 1 if j > 1 else n, k - mu[i - 2] if i > 1 else n, hi)
+            d = j - i
+            if d not in diagonals:
+                diagonals[d] = list(zip(range(hi + 1), range(d, d + hi + 1)))
+            spots[k] = diagonals[d]
+    # Depth first with an explicit stack, as in exact.lr_coefficient: entry
+    # k of the stack yields the values still to try in cell k, at least the
+    # entry to the left and more than the one above, hence at least i.
+    entry = [0] * (n + 1)
+    diagrams = [] if n else [()]  # an empty inner shape: one empty diagram
+    stack = [iter(range(1, plan[0][2] + 1))] if n else []
+    while stack:
+        for t in stack[-1]:
+            break
+        else:
+            stack.pop()
+            continue
+        k = len(stack)
+        entry[k - 1] = t
+        if k == n:
+            diagrams.append(tuple(sorted([spot[t] for spot, t in zip(spots, entry)])))
+        else:
+            left, up, hi = plan[k]
+            stack.append(iter(range(max(entry[left], entry[up] + 1), hi + 1)))
+    if len(diagrams) != xi:
         raise ArithmeticError(
-            f"excited enumeration found {len(order)} diagrams, the flag determinant {xi}"
+            f"excited enumeration found {len(diagrams)} diagrams, the flag determinant {xi}"
         )
-    return order
+    return diagrams
 
 
 def _excited_move(lam, occupied, i, j):

@@ -7,11 +7,14 @@ j <= j'.  All objects here are immutable values and every function is pure.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from itertools import accumulate, chain, zip_longest
-from math import prod
+from math import comb, prod
 from operator import index
 from typing import Iterator
+
+from .errors import CapExceeded
 
 
 class Partition:
@@ -476,22 +479,44 @@ def regev_vershik_shape(sigma, rows: int, cols: int) -> SkewShape:
     return SkewShape(outer, inner)
 
 
+FAMILY_CELL_CAP = 10**6  # skew cells of a family member, checked before it is built
+
+
 class ShapeFamily:
-    """A named parametric family, e.g. thick-ribbon:k=4."""
+    """A named parametric family, e.g. thick-ribbon:k=4.
+
+    The parameters are checked on construction, before any shape is built:
+    each must be one the builder takes, none it needs may be missing, an
+    integer must fit an index, and the member may hold at most
+    FAMILY_CELL_CAP cells, counted from the parameters.
+    """
 
     __slots__ = ("kind", "params")
 
     def __init__(self, kind: str, **params):
         if kind not in FAMILY_BUILDERS:
             raise ShapeParseError(f"unknown family {quote_prefix(kind)}")
+        required, accepted = _family_params(kind)
+        for key in params:
+            if key not in accepted:
+                raise ShapeParseError(f"family '{kind}' takes no parameter {quote_prefix(key)}")
+        for key in required:
+            if key not in params:
+                raise ShapeParseError(f"family '{kind}' needs parameter '{key}'")
+        for key, value in params.items():
+            if isinstance(value, int) and value > sys.maxsize:
+                raise OverflowError(f"family parameter '{key}' is too large for an index")
+        # a parameter below 1 is left to the builder to refuse
+        floored = {key: max(v, 1) if isinstance(v, int) else v for key, v in params.items()}
+        if _FAMILY_SIZES[kind](**floored) > FAMILY_CELL_CAP:
+            raise CapExceeded(
+                f"family '{kind}' needs n <= {FAMILY_CELL_CAP} cells; its parameters give more"
+            )
         self.kind = kind
         self.params = dict(params)
 
     def build(self) -> SkewShape:
-        try:
-            return FAMILY_BUILDERS[self.kind](**self.params)
-        except TypeError as exc:
-            raise ShapeParseError(f"bad parameters for family '{self.kind}': {exc}") from None
+        return FAMILY_BUILDERS[self.kind](**self.params)
 
     def __repr__(self) -> str:
         return f"ShapeFamily({self.kind!r}, **{self.params!r})"
@@ -508,6 +533,28 @@ FAMILY_BUILDERS = {
     "slim-stripe": slim_stripe,
     "regev-vershik": regev_vershik_shape,
 }
+
+# The number of skew cells of each family member, from the builder's
+# parameters, which these functions spell as the builders do.
+_FAMILY_SIZES = {
+    "square": lambda k: k * k,
+    "staircase": lambda k: comb(k, 2),
+    "thick-ribbon": lambda k, r=None: comb(k + (r or k), 2) - comb(k, 2),
+    "zigzag": lambda k: 2 * k + 1,
+    "inverted-hook": lambda k: 2 * k + 1,
+    "inverted-thick-hook": lambda k: 3 * k * k,
+    "ribbon-rho": lambda k, m: k * m,
+    "slim-stripe": lambda ell: ell * (2 * ell - 1),
+    "regev-vershik": lambda sigma, rows, cols: Partition(sigma).size + rows * cols,
+}
+
+
+def _family_params(kind: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The parameters a family needs and all that it takes."""
+    size = _FAMILY_SIZES[kind]
+    accepted = size.__code__.co_varnames[: size.__code__.co_argcount]
+    return accepted[: len(accepted) - len(size.__defaults__ or ())], accepted
+
 
 _INT_KEYS = {"k", "r", "m", "ell", "rows", "cols"}
 

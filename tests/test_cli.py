@@ -124,6 +124,43 @@ def test_repeated_family_parameter_is_a_usage_error(capsys):
     assert "'k' is given twice" in err and "Traceback" not in err
 
 
+# a parameter a family's builder does not take, or one it needs, named as
+# the command spells it: an option of `family`, a key of family text
+FAMILY_PARAMETER_ERRORS = [
+    (["family", "square", "--k", "2", "--m", "2"], "family 'square' takes no --m"),
+    (["family", "ribbon-rho", "--k", "2"], "family 'ribbon-rho' needs --m"),
+    (["count", "square:k=2:m=3"], "family 'square' takes no parameter 'm'"),
+    (["count", "ribbon-rho:k=2"], "family 'ribbon-rho' needs parameter 'm'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", FAMILY_PARAMETER_ERRORS)
+def test_family_parameter_errors_name_the_parameter(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["family", "thick-ribbon", "--k", "2:1000000000:100000000"],
+        ["count", "thick-ribbon:k=100000000"],
+    ],
+)
+def test_family_size_is_capped_before_any_member_is_built(monkeypatch, capsys, argv):
+    built = []
+    real = shapes.FAMILY_BUILDERS["thick-ribbon"]
+    monkeypatch.setitem(
+        shapes.FAMILY_BUILDERS, "thick-ribbon", lambda *a, **kw: built.append(a) or real(*a, **kw)
+    )
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        f"error: family 'thick-ribbon' needs n <= {shapes.FAMILY_CELL_CAP} cells;"
+        " its parameters give more\n"
+    )
+    assert built == []  # not even the k = 2 member of the sweep
+
+
 SPEC = '{"outer": [[0, 1], [1, 1]], "grid": %s}'
 HUGE = "9" * 5000
 
@@ -222,11 +259,12 @@ def test_excited_and_paths(capsys):
     assert len(doc["paths"]) == 2
 
 
-# sha256 of `skewtab excited SHAPE --paths` stdout; the last shape is disconnected
+# sha256 of `skewtab excited SHAPE --paths` stdout, diagrams in tableau order;
+# the last shape is disconnected
 EXCITED_PATHS_DIGESTS = {
-    "5,4,4,1/2,1": "6a0314f72ce8461f27a7f3ab31ef0824059b7c5a238a502ebc977a957a83f159",
-    "4,4,3,2/2,1": "0cd91720658d7c5bd88e5138158eb64231aa29e251b0694ab820f127b51ba29d",
-    "4,4,4,1/3,3,1": "461b5a4e1008a304599228246e4bc970697fa409f84f9789e56146510624c3db",
+    "5,4,4,1/2,1": "11ff63bf2b5328b85074cb0329142c6d764aa07d48a9edf2db54df346fcd13c1",
+    "4,4,3,2/2,1": "f661de1546fe1aa32f5a6173b06460db2faf41e0994a7ba8ba10352ee74bcef1",
+    "4,4,4,1/3,3,1": "dc2e3fabcca9038867b61ce7c430cc777e6c5cb7a5e9e2f01a69211eac010aa8",
 }
 
 
@@ -399,14 +437,15 @@ def test_integrate_extreme_scales(capsys):
 
 
 def test_out_of_memory_is_a_resource_error(monkeypatch, capsys):
-    # simulated: the shape and the quadrature raise as an allocation that size would
+    # simulated: the shape and the quadrature raise as an allocation that
+    # size would; the square stays within shapes.FAMILY_CELL_CAP
     def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setitem(shapes.FAMILY_BUILDERS, "square", exhausted)
     monkeypatch.setattr(asymptotics, "_hook_integral_at", exhausted)
     for argv in (
-        ["count", "square:k=99999999999"],
+        ["count", "square:k=1000"],
         ["integrate", '{"outer": [[0,1],[1,1]]}', "--grid", "4096"],
     ):
         code, out, err = run_cli(capsys, *argv)

@@ -89,14 +89,72 @@ def test_enumerate_small():
 
 
 def test_enumeration_cap_checked_before_work(monkeypatch):
-    moves = []
-    real = excited._excited_move
-    monkeypatch.setattr(
-        excited, "_excited_move", lambda *a: moves.append(a) or real(*a)
-    )
+    # the fill starts from the row flags, and the cap check needs only xi:
+    # with xi given, a cap refused before any work reads no flag
+    flags = []
+    real = excited.row_flags
+    monkeypatch.setattr(excited, "row_flags", lambda *a: flags.append(a) or real(*a))
+    monkeypatch.setattr(excited, "xi_determinant", lambda shape: 41580)
     with pytest.raises(CapExceeded, match=r"xi \* \|inner\| <= 100 cells, got 41580 \* 9"):
         enumerate_excited(SkewShape([9] * 9, [3, 3, 3]), cap=100)
-    assert moves == []
+    assert flags == []
+    # the probe sees the fill when it runs
+    assert len(enumerate_excited(SkewShape([9] * 9, [3, 3, 3]))) == 41580
+    assert len(flags) == 1
+
+
+def breadth_first_excited(shape: SkewShape) -> list[tuple[tuple[int, int], ...]]:
+    """Reference enumeration: every cell set reachable from the inner diagram
+    by moves, breadth first, deduplicated by the sorted cell set."""
+    lam = shape.outer
+    start = tuple(shape.inner.cells())
+    seen = {start}
+    order = [start]
+    for diagram in order:  # the loop reaches what it appends
+        occupied = set(diagram)
+        for i, j in diagram:
+            moved = excited._excited_move(lam, occupied, i, j)
+            if moved is not None and moved not in seen:
+                seen.add(moved)
+                order.append(moved)
+    return order
+
+
+def check_against_breadth_first(shape: SkewShape, diagrams) -> None:
+    reference = breadth_first_excited(shape)
+    assert len(diagrams) == len(set(diagrams)) == len(reference), shape
+    assert set(diagrams) == set(reference), shape
+    assert diagrams[0] == tuple(sorted(shape.inner.cells())), shape
+    assert diagrams[-1] == top_excited_diagram(shape), shape
+
+
+def test_enumeration_matches_breadth_first_search():
+    shapes = list(skew_shapes(10, connected_only=False))
+    assert len(shapes) == 2749
+    for shape in shapes:
+        check_against_breadth_first(shape, enumerate_excited(shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_skew_shapes(40, connected=False))
+def test_enumeration_matches_breadth_first_search_at_random(shape):
+    try:
+        diagrams = enumerate_excited(shape, cap=2000)
+    except CapExceeded:
+        return
+    check_against_breadth_first(shape, diagrams)
+
+
+def test_enumeration_lists_tableaux_in_lexicographic_order():
+    # cell (i, j) of the inner shape holds the row of its diagonal's cell
+    shape = SkewShape([5, 4, 4, 1], [2, 1])
+    inner = list(shape.inner.cells())
+    tableaux = []
+    for diagram in enumerate_excited(shape):
+        rows = {j - i: i for i, j in diagram}
+        tableaux.append([rows[j - i] for i, j in inner])
+    assert tableaux == sorted(tableaux)
+    assert tableaux[0] == [1, 1, 2] and tableaux[-1] == [2, 3, 3]
 
 
 def test_diagram_characterization():
@@ -120,7 +178,7 @@ def test_diagram_characterization():
 
 def test_characterization_enumerates_the_same_set(small_connected_shapes):
     # third route: move positions independently along each diagonal and keep
-    # the sets passing the characterization; must equal the BFS enumeration
+    # the sets passing the characterization; must equal the enumeration
     from itertools import product
 
     for shape in small_connected_shapes[::11]:

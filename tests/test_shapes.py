@@ -5,6 +5,8 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
+from skewtab import shapes
+from skewtab.errors import CapExceeded
 from skewtab.shapes import (
     Partition,
     ShapeFamily,
@@ -270,6 +272,26 @@ def test_parse_and_print():
         [3, 3, 2], [2, 1]
     )
     assert repr(fam) == "ShapeFamily('thick-ribbon', **{'k': 4})"
+
+
+def test_family_sizes_and_cap():
+    # the cell count the cap reads equals the built member's, parameter by
+    # parameter as each builder takes them
+    values = {"k": 4, "r": 3, "m": 3, "ell": 4, "rows": 3, "cols": 2, "sigma": (2, 1)}
+    for kind, build in shapes.FAMILY_BUILDERS.items():
+        required, accepted = shapes._family_params(kind)
+        for names in (required, accepted):
+            params = {key: values[key] for key in names}
+            assert shapes._FAMILY_SIZES[kind](**params) == build(**params).size, (kind, params)
+    assert shapes.FAMILY_CELL_CAP == 10**6
+    assert ShapeFamily("square", k=1000).build().size == 10**6
+    with pytest.raises(CapExceeded, match="family 'square' needs n <= 1000000 cells"):
+        ShapeFamily("square", k=1001)
+    with pytest.raises(CapExceeded):
+        parse_shape("ribbon-rho:k=1001:m=1000")
+    # a parameter below 1 is the builder's to refuse, however large
+    with pytest.raises(ValueError, match="ribbon parameters must be >= 1"):
+        parse_shape("ribbon-rho:k=-100000000:m=-100000000").build()
 
 
 def test_parse_errors():
