@@ -19,7 +19,7 @@ from typing import NamedTuple
 from .errors import CapExceeded
 from .exact import factorials, jacobi_trudi_count, naive_hlf
 from .excited import xi_determinant
-from .shapes import Partition, ShapeFamily, SkewShape, column_ribbon
+from .shapes import _FAMILY_SIZES, Partition, ShapeFamily, SkewShape, column_ribbon
 
 
 def log_fraction(q: Fraction) -> float:
@@ -508,9 +508,15 @@ def _family_member(kind: str, k: int, extra: dict) -> ShapeFamily:
 
 
 def family_report(kind: str, ks, **extra) -> list[FamilyRow]:
-    """family_row over ks.  Every member's parameters, and its size against
-    shapes.FAMILY_CELL_CAP, are checked before the first is built."""
-    ks = list(ks)
+    """family_row over ks.  Every member is checked before the first is
+    built: its parameters, its size against shapes.FAMILY_CELL_CAP, and that
+    it has a cell.  A range is read twice, never copied into a list."""
+    if iter(ks) is ks:  # a one-shot iterator can only be read once
+        ks = list(ks)
+    key = _SWEEP_KEY.get(kind, "k")
     for k in ks:
-        _family_member(kind, k, extra)
+        member = _family_member(kind, k, extra)
+        if k < 1 or _FAMILY_SIZES[kind](**member.params) < 1:
+            member.build()  # a builder refuses a parameter below 1 before building
+            raise ValueError(f"family '{kind}' member {key}={k} is empty")
     return [family_row(kind, k, **extra) for k in ks]

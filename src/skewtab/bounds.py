@@ -10,35 +10,30 @@ from ``exact.naive_hlf`` and ``excited.xi_determinant``.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .asymptotics import log_fraction
 from .exact import _exact_quotient, jacobi_trudi_count, naive_hlf
 from .excited import xi_determinant
-from .shapes import SkewShape
+from .shapes import SkewShape, _diagonals
 
 
-def antidiagonal_chains(shape: SkewShape) -> "ChainDecomposition":
-    """Chain partition pairing each even diagonal j - i with the odd one above.
+def antidiagonal_chain_sizes(shape: SkewShape) -> tuple[int, ...]:
+    """Sizes of the chains that pair each even diagonal j - i with the odd
+    one above it, largest first.
 
     Within such a pair the cells in reading order are always pairwise
-    comparable, so every nonempty pair contributes one chain.  The partition
-    is valid for every skew shape; it is not claimed optimal.
+    comparable, so every nonempty pair is one chain, and the pairs partition
+    the shape.  A chain's size is the sum of its two diagonals' cell counts.
+    The partition is valid for every skew shape; it is not claimed optimal.
     """
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for i, j in shape.cells():  # reading order, so every group comes out sorted
-        groups.setdefault((j - i) // 2, []).append((i, j))
-    chains = sorted(map(tuple, groups.values()), key=lambda c: (-len(c), c[0]))
-    return ChainDecomposition(tuple(chains))
-
-
-class ChainDecomposition(NamedTuple):
-    chains: tuple[tuple[tuple[int, int], ...], ...]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.chains)
+    sizes: dict[int, int] = {}
+    counts = accumulate(_diagonals(shape)[1])  # cells per diagonal, from 1 - rows
+    for c, count in enumerate(counts, start=1 - len(shape.outer)):
+        sizes[c // 2] = sizes.get(c // 2, 0) + count
+    return tuple(sorted(filter(None, sizes.values()), reverse=True))
 
 
 def rank_factorial_lower(shape: SkewShape) -> int:
@@ -46,31 +41,10 @@ def rank_factorial_lower(shape: SkewShape) -> int:
     return prod(map(factorial, shape.antidiagonal_ranks()))
 
 
-def chain_upper(shape: SkewShape, decomposition: ChainDecomposition | None = None) -> int:
-    """Multinomial bound n!/(l_1! ... l_m!) for a chain partition."""
-    if decomposition is None:
-        decomposition = antidiagonal_chains(shape)
-    _validate_chains(shape, decomposition)
-    denom = prod(factorial(size) for size in decomposition.sizes)
+def chain_upper(shape: SkewShape) -> int:
+    """Multinomial bound n!/(l_1! ... l_m!) for the antidiagonal chain partition."""
+    denom = prod(map(factorial, antidiagonal_chain_sizes(shape)))
     return _exact_quotient(factorial(shape.size), denom, "chain multinomial")
-
-
-def _validate_chains(shape: SkewShape, decomposition: ChainDecomposition) -> None:
-    seen: set[tuple[int, int]] = set()
-    for chain in decomposition.chains:
-        cells = sorted(chain)
-        for (i, j), (k, m) in zip(cells, cells[1:]):
-            if not (i <= k and j <= m):
-                raise ValueError(f"cells {(i, j)} and {(k, m)} are incomparable within a chain")
-        if not seen.isdisjoint(cells):
-            raise ValueError("chains overlap")
-        seen.update(cells)
-    # as many distinct cells as the shape has, each inside a row's interval
-    rows = shape.row_bounds()
-    if len(seen) != shape.size or not all(
-        0 < i <= len(rows) and rows[i - 1][0] < j <= rows[i - 1][1] for i, j in seen
-    ):
-        raise ValueError("chains do not cover the shape")
 
 
 def _suffix_sums(shape: SkewShape):
@@ -155,7 +129,7 @@ class BoundsReport(NamedTuple):
     xi: int
     lower: dict
     upper: dict
-    chains: ChainDecomposition
+    chain_sizes: tuple[int, ...]
     verdicts: dict
     log_gaps: dict
 
@@ -173,14 +147,13 @@ def bounds_report(shape: SkewShape) -> BoundsReport:
     exact = jacobi_trudi_count(shape)
     F = naive_hlf(shape)
     xi = xi_determinant(shape)
-    chains = antidiagonal_chains(shape)
     lower = {
         "rank-factorial": rank_factorial_lower(shape),
         "hp": hp_lower(shape),
         "naive-hlf": F,
     }
     upper = {
-        "chain": chain_upper(shape, chains),
+        "chain": chain_upper(shape),
         "xi-times-F": xi * F,
         "skew-lr": skew_lr_upper(shape),
     }
@@ -193,4 +166,6 @@ def bounds_report(shape: SkewShape) -> BoundsReport:
                 log_gaps[name] = log_fraction(Fraction(exact) / bound)
         for name, bound in upper.items():
             log_gaps[name] = log_fraction(Fraction(bound) / exact)
-    return BoundsReport(shape, exact, xi, lower, upper, chains, verdicts, log_gaps)
+    return BoundsReport(
+        shape, exact, xi, lower, upper, antidiagonal_chain_sizes(shape), verdicts, log_gaps
+    )

@@ -83,7 +83,7 @@ def cmd_bounds(args) -> int:
         "xi": str(report.xi),
         "lower": {k: str(v) for k, v in report.lower.items()},
         "upper": {k: str(v) for k, v in report.upper.items()},
-        "chain-sizes": report.chains.sizes,
+        "chain-sizes": report.chain_sizes,
         "verdicts": report.verdicts,
         "log-gaps": {k: _flt(v) for k, v in report.log_gaps.items()},
     }
@@ -143,17 +143,15 @@ def cmd_nhlf(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(spec: str) -> range:
     pieces = spec.split(":")
     if len(pieces) > 3:
         raise ShapeParseError("range must be K, LO:HI, or LO:HI:STEP")
     ints = [shapes.parse_int(p, f"--k part {pos}") for pos, p in enumerate(pieces, start=1)]
-    if len(ints) == 1:
-        return ints
-    lo, hi, step = ints if len(ints) == 3 else (*ints, 1)
+    lo, hi, step = ints if len(ints) == 3 else (ints[0], ints[-1], 1)  # K is K:K
     if step == 0:
         raise ShapeParseError("--k step must not be zero")
-    ks = list(range(lo, hi + (1 if step > 0 else -1), step))  # HI included
+    ks = range(lo, hi + (1 if step > 0 else -1), step)  # HI included
     if not ks:
         raise ShapeParseError(f"--k range {shapes.quote_prefix(spec)} is empty")
     return ks

@@ -27,7 +27,7 @@ from .exact import (
     schur_principal,
     superfactorial,
 )
-from .shapes import Partition, SkewShape, _hook_rows
+from .shapes import Partition, SkewShape, _diagonals, _hook_rows
 
 DEFAULT_CELL_CAP = 10**8
 
@@ -360,30 +360,6 @@ class PathFamily(NamedTuple):
 
     def endpoints(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
         return tuple((p[0], p[-1]) for p in self.paths)
-
-
-def _diagonals(shape: SkewShape) -> tuple[list[int], list[int]]:
-    """The skew cells diagonal by diagonal, from row lengths: for each
-    content c from 1 - rows up to outer_1, at index c + rows - 1, the number
-    of rows starting on c and the rise in the number of skew cells from
-    diagonal c - 1 to diagonal c.
-
-    Row i holds the contents inner_i - i < c <= outer_i - i, and both bounds
-    fall strictly down the rows, so diagonal c holds a run of rows: it
-    starts at the first row whose inner bound is below c, which is row
-    rows + 1 - (the number of rows starting on c or before), and holds as
-    many cells as the running sum of the rises.  The rise at c is the number
-    of rows starting on c less those ending just before it.
-    """
-    bounds = shape.row_bounds()
-    rows = len(bounds)
-    starts = [0] * (rows + shape.outer.part(1))
-    rises = starts[:]
-    for i, (lo, hi) in enumerate(bounds, start=1):
-        starts[lo - i + rows] += 1  # index of content lo - i + 1
-        rises[lo - i + rows] += 1
-        rises[hi - i + rows] -= 1
-    return starts, rises
 
 
 def border_strip_decomposition(shape: SkewShape) -> list[tuple[tuple[int, int], ...]]:

@@ -314,6 +314,30 @@ def _canonical(outer, inner) -> SkewShape:
     )
 
 
+def _diagonals(shape: SkewShape) -> tuple[list[int], list[int]]:
+    """The skew cells diagonal by diagonal, from row lengths: for each
+    content c from 1 - rows up to outer_1, at index c + rows - 1, the number
+    of rows starting on c and the rise in the number of skew cells from
+    diagonal c - 1 to diagonal c.
+
+    Row i holds the contents inner_i - i < c <= outer_i - i, and both bounds
+    fall strictly down the rows, so diagonal c holds a run of rows: it
+    starts at the first row whose inner bound is below c, which is row
+    rows + 1 - (the number of rows starting on c or before), and holds as
+    many cells as the running sum of the rises.  The rise at c is the number
+    of rows starting on c less those ending just before it.
+    """
+    bounds = shape.row_bounds()
+    rows = len(bounds)
+    starts = [0] * (rows + shape.outer.part(1))
+    rises = starts[:]
+    for i, (lo, hi) in enumerate(bounds, start=1):
+        starts[lo - i + rows] += 1  # index of content lo - i + 1
+        rises[lo - i + rows] += 1
+        rises[hi - i + rows] -= 1
+    return starts, rises
+
+
 # -- text notation ----------------------------------------------------------
 #
 # "4,4,3,2/2,1" denotes outer/inner; the inner part is omitted when empty,

@@ -462,6 +462,11 @@ def test_ribbon_rho_terms():
 def test_family_rows():
     rows = family_report("thick-ribbon", [2, 4, 8])
     assert [r.n for r in rows] == [5, 22, 92]
+    # a range is read as it is, a one-shot iterator once, into a list
+    for ks in (range(2, 9, 2), iter([2, 4, 6, 8])):
+        assert [r.k for r in family_report("thick-ribbon", ks)] == [2, 4, 6, 8]
+    with pytest.raises(ValueError, match="^family 'staircase' member k=1 is empty$"):
+        family_report("staircase", range(3, 0, -1))
     assert all(r.verdict for r in rows)
     assert rows[2].log_xi == pytest.approx(log(proctor_xi(8)))
     row = family_row("square", 3)

@@ -1,11 +1,10 @@
 from fractions import Fraction
 from math import factorial, prod
 
-import pytest
+from hypothesis import given, settings
 
 from skewtab.bounds import (
-    ChainDecomposition,
-    antidiagonal_chains,
+    antidiagonal_chain_sizes,
     binom_lemma_check,
     bounds_report,
     chain_upper,
@@ -19,6 +18,8 @@ from skewtab.bounds import (
 from skewtab.exact import naive_hlf
 from skewtab.excited import xi_determinant
 from skewtab.shapes import SkewShape, square_shape, thick_ribbon, zigzag
+from skewtab.verify import skew_shapes
+from test_properties import random_skew_shapes
 
 GOLDEN = SkewShape([4, 4, 3, 2], [2, 1])
 
@@ -29,39 +30,54 @@ def test_rank_factorial_lower():
     assert rank_factorial_lower(SkewShape([2, 2])) == 2  # ranks (1, 2, 1)
 
 
+def antidiagonal_pairing(shape):
+    """The cell-level chain partition that antidiagonal_chain_sizes counts:
+    the cells of diagonals j - i = 2d and 2d + 1, per d, in reading order."""
+    groups = {}
+    for i, j in shape.cells():
+        groups.setdefault((j - i) // 2, []).append((i, j))
+    return list(groups.values())
+
+
+def check_chain_partition(shape):
+    chains = antidiagonal_pairing(shape)
+    for chain in chains:  # reading order, so comparable pairs are consecutive
+        for (i, j), (k, m) in zip(chain, chain[1:]):
+            assert i <= k and j <= m, (shape, chain)
+    cells = [c for chain in chains for c in chain]
+    assert len(cells) == len(set(cells)) and set(cells) == set(shape.cells()), shape
+    assert antidiagonal_chain_sizes(shape) == tuple(sorted(map(len, chains), reverse=True))
+
+
+def test_chain_sizes_count_a_chain_partition():
+    checked = 0
+    for shape in skew_shapes(10, connected_only=False):
+        check_chain_partition(shape)
+        checked += 1
+    assert checked == 2749
+    assert antidiagonal_chain_sizes(SkewShape([])) == ()
+    assert antidiagonal_chain_sizes(SkewShape([2, 1], [2, 1])) == ()
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_skew_shapes(60, connected=False))
+def test_chain_sizes_count_a_chain_partition_random(shape):
+    check_chain_partition(shape)
+
+
 def test_chain_decomposition():
-    assert antidiagonal_chains(GOLDEN).sizes == (3, 3, 3, 1)
+    assert antidiagonal_chain_sizes(GOLDEN) == (3, 3, 3, 1)
     for k in (2, 3, 4):
-        sizes = antidiagonal_chains(square_shape(k)).sizes
-        assert sorted(sizes, reverse=True) == list(range(2 * k - 1, 0, -2))
-    assert antidiagonal_chains(SkewShape([1])).sizes == (1,)
+        sizes = antidiagonal_chain_sizes(square_shape(k))
+        assert list(sizes) == list(range(2 * k - 1, 0, -2))
+    assert antidiagonal_chain_sizes(SkewShape([1])) == (1,)
 
 
 def test_chain_upper():
     assert chain_upper(GOLDEN) == 16800
-    row = SkewShape([4])
-    one_chain = ChainDecomposition((tuple(row.cells()),))
-    assert chain_upper(row, one_chain) == 1  # a row is one maximal chain
-    singletons = ChainDecomposition(tuple((c,) for c in GOLDEN.cells()))
-    assert chain_upper(GOLDEN, singletons) == factorial(10)
-
-
-def test_chain_validation():
-    cells = GOLDEN.cells()
-    with pytest.raises(ValueError, match="cover"):
-        chain_upper(GOLDEN, ChainDecomposition((((1, 3), (1, 4)),)))
-    bad = ChainDecomposition((((1, 3), (1, 4)), ((1, 3),)))
-    with pytest.raises(ValueError, match="overlap"):
-        chain_upper(GOLDEN, bad)
-    # as many cells as the shape, one of them outside it: inside the inner
-    # shape, in a row past the last, or past the end of its row
-    for outside in ((1, 1), (5, 1), (2, 5), (0, 3)):
-        stray = ChainDecomposition(((outside,),) + tuple((c,) for c in cells[1:]))
-        with pytest.raises(ValueError, match="cover"):
-            chain_upper(GOLDEN, stray)
-    incomparable = ChainDecomposition((tuple(sorted(cells)),))
-    with pytest.raises(ValueError, match="incomparable"):
-        chain_upper(GOLDEN, incomparable)
+    assert chain_upper(SkewShape([4])) == 6  # two chains of two: 4! / (2! 2!)
+    # not optimal: a column is one chain, but the pairing splits it 2 + 1
+    assert chain_upper(SkewShape([1, 1, 1])) == 3
 
 
 def test_upper_ideals_and_hp():

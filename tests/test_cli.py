@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -159,6 +160,36 @@ def test_family_size_is_capped_before_any_member_is_built(monkeypatch, capsys, a
         " its parameters give more\n"
     )
     assert built == []  # not even the k = 2 member of the sweep
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["staircase", "--k", "90:1:-89"], "family 'staircase' member k=1 is empty"),
+    (["square", "--k", "3:0:-1"], "square parameter must be >= 1"),
+    (["ribbon-rho", "--k", "1:3", "--m", "0"], "ribbon parameters must be >= 1"),
+])
+def test_family_refuses_an_empty_member_before_any_row(monkeypatch, capsys, argv, message):
+    def no_rows(shape):
+        raise AssertionError("a row was computed before every member was checked")
+
+    monkeypatch.setattr(asymptotics, "jacobi_trudi_count", no_rows)
+    assert run_cli(capsys, "family", *argv) == (2, "", f"error: {message}\n")
+
+
+def test_family_range_is_never_listed():
+    # 10^8 members as a list would take about 4 GB; iterated, the range costs
+    # nothing, and under a 256 MB address-space limit the cap refuses k = 1001
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "skewtab.cli", "family", "square", "--k", "1:100000000"],
+        env=_fresh_env(), capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"error: family 'square' needs n <= {shapes.FAMILY_CELL_CAP} cells;"
+        " its parameters give more\n"
+    )
 
 
 SPEC = '{"outer": [[0, 1], [1, 1]], "grid": %s}'

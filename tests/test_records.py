@@ -8,7 +8,6 @@ import pytest
 from skewtab import (
     BandConstants,
     BoundsReport,
-    ChainDecomposition,
     PathFamily,
     SkewShape,
     TvkData,
@@ -20,7 +19,7 @@ from skewtab.excited import SlimReport
 from skewtab.verify import SweepResult
 
 EMPTY = inspect.Parameter.empty
-CHAINS = (((1, 2),), ((2, 1),))
+PATHS = (((1, 2),), ((2, 1),))
 
 # (class, its parameters as (name, default), field values, repr, properties)
 RECORDS = [
@@ -75,34 +74,27 @@ RECORDS = [
         {},
     ),
     (
-        ChainDecomposition,
-        [("chains", EMPTY)],
-        (CHAINS,),
-        "ChainDecomposition(chains=(((1, 2),), ((2, 1),)))",
-        {"sizes": (1, 1)},
-    ),
-    (
         BoundsReport,
         # the parameters after xi had placeholder defaults, overwritten once
         # the report was built; the report is built whole, so they are not
         # pinned
         [(name, EMPTY) for name in (
-            "shape", "exact", "xi", "lower", "upper", "chains", "verdicts", "log_gaps",
+            "shape", "exact", "xi", "lower", "upper", "chain_sizes", "verdicts", "log_gaps",
         )],
         (
             SkewShape([2, 1], [1]), 2, 1, {"hp": Fraction(2)}, {"chain": 2},
-            ChainDecomposition(CHAINS), {"hp": True, "chain": False}, {"hp": 0.0, "chain": 0.0},
+            (1, 1), {"hp": True, "chain": False}, {"hp": 0.0, "chain": 0.0},
         ),
         "BoundsReport(shape=SkewShape([2, 1], [1]), exact=2, xi=1, "
         "lower={'hp': Fraction(2, 1)}, upper={'chain': 2}, "
-        "chains=ChainDecomposition(chains=(((1, 2),), ((2, 1),))), "
+        "chain_sizes=(1, 1), "
         "verdicts={'hp': True, 'chain': False}, log_gaps={'hp': 0.0, 'chain': 0.0})",
         {"all_verdicts_hold": False},
     ),
     (
         PathFamily,
         [("paths", EMPTY)],
-        (CHAINS,),
+        (PATHS,),
         "PathFamily(paths=(((1, 2),), ((2, 1),)))",
         {"support": frozenset({(1, 2), (2, 1)}), "endpoints": (((1, 2), (1, 2)), ((2, 1), (2, 1)))},
     ),
