@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import CapExceeded
 from .exact import factorials, jacobi_trudi_count, naive_hlf
-from .excited import xi_determinant
+from .excited import xi_count
 from .shapes import _FAMILY_SIZES, Partition, ShapeFamily, SkewShape, column_ribbon
 
 
@@ -489,7 +489,7 @@ def family_row(kind: str, k: int, **extra) -> FamilyRow:
     n = shape.size
     e = jacobi_trudi_count(shape)
     F = naive_hlf(shape)
-    xi = xi_determinant(shape)
+    xi = xi_count(shape)
     verdict = F <= e <= xi * F
     return FamilyRow(
         family=kind,

@@ -57,7 +57,7 @@ def cmd_count(args) -> int:
     shape = _resolve_shape(args.shape)
     e = exact.jacobi_trudi_count(shape)
     F = exact.naive_hlf(shape)
-    xi = excited.xi_determinant(shape)
+    xi = excited.xi_count(shape)
     doc = {
         "shape": shape_text(shape),
         "n": shape.size,
@@ -135,7 +135,7 @@ def cmd_nhlf(args) -> int:
     doc = {
         "shape": shape_text(shape),
         "e": str(e),
-        "xi": str(excited.xi_determinant(shape)),
+        "xi": str(excited.xi_count(shape)),
         "min-term": str(lo),
         "max-term": str(hi),
     }

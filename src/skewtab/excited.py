@@ -201,13 +201,20 @@ def nhlf_count(shape: SkewShape) -> int:
     where either lattice takes tens of microseconds, it took 13% less
     time than the strip lattice alone, the factor 4 only 3% less.
     """
-    if len(shape.inner) <= 3 * _strip_count(shape):
+    if _flag_lattice(shape):
         det, den = _flag_hook_sum(shape)
     else:
         det, den = _strip_hook_sum(shape)
     if det <= 0:
         raise ArithmeticError("hook-sum determinant is not positive")
     return _exact_quotient(factorial(shape.size) * det, den, "hook-sum count")
+
+
+def _flag_lattice(shape: SkewShape) -> bool:
+    """Whether `nhlf_count` and `xi_count` take the flag lattice, one path
+    per inner row, rather than the strip lattice, one path per border strip:
+    ell(inner) <= 3 * (number of strips)."""
+    return len(shape.inner) <= 3 * _strip_count(shape)
 
 
 def _flag_hook_sum(shape: SkewShape) -> tuple[int, int]:
@@ -285,6 +292,15 @@ def xi_path_count(shape: SkewShape) -> int:
     """
     strips = border_strip_decomposition(shape)
     return _path_determinant(shape.outer, strips, dict.fromkeys(shape.outer.cells(), 1))
+
+
+def xi_count(shape: SkewShape) -> int:
+    """Number of excited diagrams, on the lattice `nhlf_count` takes for the
+    same shape: `xi_determinant` on the flag lattice, `xi_path_count` on
+    the strip lattice.  A long ribbon thus gets one row per strip instead
+    of one per inner row: on zigzag(160), 0.008 s against 0.39 s for the
+    flag determinant (2-vCPU Xeon, Python 3.11)."""
+    return xi_determinant(shape) if _flag_lattice(shape) else xi_path_count(shape)
 
 
 def _path_determinant(lam: Partition, strips, weight) -> int:

@@ -442,6 +442,8 @@ def thick_ribbon(k: int, r: int | None = None) -> SkewShape:
 
 def zigzag(k: int) -> SkewShape:
     """The odd zigzag ribbon delta_{k+2}/delta_k."""
+    if k < 1:
+        raise ValueError("zigzag parameter must be >= 1")
     return thick_ribbon(k, 2)
 
 
@@ -530,12 +532,16 @@ class ShapeFamily:
         for key, value in params.items():
             if isinstance(value, int) and value > sys.maxsize:
                 raise OverflowError(f"family parameter '{key}' is too large for an index")
-        # a parameter below 1 is left to the builder to refuse
-        floored = {key: max(v, 1) if isinstance(v, int) else v for key, v in params.items()}
-        if _FAMILY_SIZES[kind](**floored) > FAMILY_CELL_CAP:
-            raise CapExceeded(
-                f"family '{kind}' needs n <= {FAMILY_CELL_CAP} cells; its parameters give more"
-            )
+        # a parameter below 1 is left to the builder, which refuses it first
+        if all(v >= 1 for v in params.values() if isinstance(v, int)):
+            n = _FAMILY_SIZES[kind](**params)
+            if n > FAMILY_CELL_CAP:
+                member = ", ".join(
+                    f"{key}={_param_text(v)}" for key, v in params.items() if v is not None
+                )
+                raise CapExceeded(
+                    f"family '{kind}' needs n <= {FAMILY_CELL_CAP} cells; {member} gives {n}"
+                )
         self.kind = kind
         self.params = dict(params)
 
@@ -571,6 +577,14 @@ _FAMILY_SIZES = {
     "slim-stripe": lambda ell: ell * (2 * ell - 1),
     "regev-vershik": lambda sigma, rows, cols: Partition(sigma).size + rows * cols,
 }
+
+
+def _param_text(value) -> str:
+    """A family parameter as family text spells it: an integer, or sigma's
+    parts, quoted by quote_prefix."""
+    if isinstance(value, int):
+        return str(value)
+    return quote_prefix(",".join(map(str, value)))
 
 
 def _family_params(kind: str) -> tuple[tuple[str, ...], tuple[str, ...]]:

@@ -1,9 +1,13 @@
 from fractions import Fraction
 from math import factorial, prod
 
+import pytest
 from hypothesis import given, settings
 
+from skewtab import excited
+from skewtab.asymptotics import log_fraction
 from skewtab.bounds import (
+    _log_ratio,
     antidiagonal_chain_sizes,
     binom_lemma_check,
     bounds_report,
@@ -16,10 +20,10 @@ from skewtab.bounds import (
     upper_ideal_sizes,
 )
 from skewtab.exact import naive_hlf
-from skewtab.excited import xi_determinant
+from skewtab.excited import xi_determinant, xi_path_count
 from skewtab.shapes import SkewShape, square_shape, thick_ribbon, zigzag
 from skewtab.verify import skew_shapes
-from test_properties import random_skew_shapes
+from test_properties import _LARGE_SHAPES, random_skew_shapes
 
 GOLDEN = SkewShape([4, 4, 3, 2], [2, 1])
 
@@ -182,3 +186,40 @@ def test_bounds_report_families():
         # the report and main_sandwich each take F and xi from the same kernels
         assert report.xi == xi_determinant(shape)
         assert (report.lower["naive-hlf"], report.upper["xi-times-F"]) == main_sandwich(shape)
+
+
+def test_bounds_report_takes_xi_on_the_strip_lattice(monkeypatch):
+    # one strip under 159 inner rows: xi is a 1 x 1 path determinant, not
+    # the 159 x 159 flag determinant
+    shape = zigzag(160)
+    xi = xi_path_count(shape)
+
+    def flag_determinant(shape):
+        raise AssertionError("the flag determinant was taken")
+
+    monkeypatch.setattr(excited, "xi_determinant", flag_determinant)
+    report = bounds_report(shape)
+    assert report.xi == xi and report.all_verdicts_hold
+    assert main_sandwich(shape)[1] == report.upper["xi-times-F"]
+
+
+def test_log_gaps_match_log_fraction():
+    # the reduced quotient's logs are log_fraction's of the Fraction quotient, bit for bit
+    for shape in [*skew_shapes(10, connected_only=False), *_LARGE_SHAPES]:
+        report = bounds_report(shape)
+        expected = {
+            name: log_fraction(Fraction(report.exact) / bound)
+            for name, bound in report.lower.items()
+        }
+        expected.update(
+            (name, log_fraction(Fraction(bound) / report.exact))
+            for name, bound in report.upper.items()
+        )
+        assert {k: v.hex() for k, v in report.log_gaps.items()} == {
+            k: v.hex() for k, v in expected.items()
+        }, shape
+    for a, b in ((0, 3), (-1, 2), (Fraction(1, 2), -3), (Fraction(-5, 7), Fraction(1, 9))):
+        with pytest.raises(ValueError):
+            _log_ratio(a, b)
+        with pytest.raises(ValueError):
+            log_fraction(Fraction(a) / b)

@@ -140,6 +140,13 @@ def test_family_parameter_errors_name_the_parameter(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+# the first member over the cap, named with its cell count, by command
+CAPPED_MEMBER = {
+    "family": "k=100000002 gives 15000000550000005",
+    "count": "k=100000000 gives 14999999950000000",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -157,7 +164,7 @@ def test_family_size_is_capped_before_any_member_is_built(monkeypatch, capsys, a
     assert (code, out) == (3, "")
     assert err == (
         f"error: family 'thick-ribbon' needs n <= {shapes.FAMILY_CELL_CAP} cells;"
-        " its parameters give more\n"
+        f" {CAPPED_MEMBER[argv[0]]}\n"
     )
     assert built == []  # not even the k = 2 member of the sweep
 
@@ -166,6 +173,7 @@ def test_family_size_is_capped_before_any_member_is_built(monkeypatch, capsys, a
     (["staircase", "--k", "90:1:-89"], "family 'staircase' member k=1 is empty"),
     (["square", "--k", "3:0:-1"], "square parameter must be >= 1"),
     (["ribbon-rho", "--k", "1:3", "--m", "0"], "ribbon parameters must be >= 1"),
+    (["zigzag", "--k", "2:0:-1"], "zigzag parameter must be >= 1"),
 ])
 def test_family_refuses_an_empty_member_before_any_row(monkeypatch, capsys, argv, message):
     def no_rows(shape):
@@ -187,8 +195,7 @@ def test_family_range_is_never_listed():
     )
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == (
-        f"error: family 'square' needs n <= {shapes.FAMILY_CELL_CAP} cells;"
-        " its parameters give more\n"
+        f"error: family 'square' needs n <= {shapes.FAMILY_CELL_CAP} cells; k=1001 gives 1002001\n"
     )
 
 

@@ -22,6 +22,7 @@ from skewtab.excited import (
     slim_xi_checks,
     top_excited_diagram,
     xi_bounds,
+    xi_count,
     xi_determinant,
     xi_path_count,
 )
@@ -285,25 +286,47 @@ def test_hook_sum_lattices_agree():
         assert flag == strip, shape
 
 
-def test_hook_sum_lattice_choice(monkeypatch):
+# ell(inner) against the number of border strips: True for the flag lattice
+FLAG_LATTICE = {
+    zigzag(20): False,  # 19 rows, 1 strip
+    zigzag(8): False,  # 7 rows, 1 strip
+    thick_ribbon(12): True,  # 11 rows, 6 strips
+    SkewShape([8] * 8, [3] * 4): True,  # 4 rows, 5 strips
+    SkewShape([2, 2], [1]): True,  # 1 row, 1 strip
+}
+
+
+def _record_calls(monkeypatch, names):
     taken = []
-    for name in ("_flag_hook_sum", "_strip_hook_sum"):
+    for name in names:
         real = getattr(excited, name)
         monkeypatch.setattr(
             excited, name, lambda *args, _real=real, _name=name: taken.append(_name) or _real(*args)
         )
-    # ell(inner) against the number of border strips
-    expected = {
-        zigzag(20): "_strip_hook_sum",  # 19 rows, 1 strip
-        zigzag(8): "_strip_hook_sum",  # 7 rows, 1 strip
-        thick_ribbon(12): "_flag_hook_sum",  # 11 rows, 6 strips
-        SkewShape([8] * 8, [3] * 4): "_flag_hook_sum",  # 4 rows, 5 strips
-        SkewShape([2, 2], [1]): "_flag_hook_sum",  # 1 row, 1 strip
-    }
-    for shape, lattice in expected.items():
+    return taken
+
+
+def test_hook_sum_lattice_choice(monkeypatch):
+    taken = _record_calls(monkeypatch, ("_flag_hook_sum", "_strip_hook_sum"))
+    for shape, flag in FLAG_LATTICE.items():
         taken.clear()
         assert nhlf_count(shape) == jacobi_trudi_count(shape)
-        assert taken == [lattice], shape
+        assert taken == ["_flag_hook_sum" if flag else "_strip_hook_sum"], shape
+
+
+def test_xi_count_lattice_choice(monkeypatch):
+    # xi on the lattice the hook sum takes
+    expected = {shape: xi_determinant(shape) for shape in FLAG_LATTICE}
+    taken = _record_calls(monkeypatch, ("xi_determinant", "xi_path_count"))
+    for shape, flag in FLAG_LATTICE.items():
+        taken.clear()
+        assert xi_count(shape) == expected[shape]
+        assert taken == ["xi_determinant" if flag else "xi_path_count"], shape
+
+
+def test_xi_count():
+    for shape in skew_shapes(10, connected_only=False):
+        assert xi_count(shape) == xi_determinant(shape), shape
 
 
 def test_min_max_term(monkeypatch, capsys):

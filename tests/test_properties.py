@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 from skewtab import exact, excited
 from skewtab.bounds import hp_lower, upper_ideal_sizes
 from skewtab.exact import _bareiss_det, brute_force_count, jacobi_trudi_count, naive_hlf
-from skewtab.excited import border_strip_decomposition, nhlf_count, xi_determinant, xi_path_count
+from skewtab.excited import (
+    border_strip_decomposition,
+    nhlf_count,
+    xi_count,
+    xi_determinant,
+    xi_path_count,
+)
 from skewtab.shapes import (
     Partition,
     SkewShape,
@@ -52,6 +58,23 @@ def random_skew_shapes(draw, max_cells: int, connected: bool):
     return SkewShape([h for _, h in rows], [l for l, _ in rows])
 
 
+@st.composite
+def random_ribbons(draw, max_cells: int):
+    """A random ribbon of at most max_cells cells: each row, going up,
+    overlaps the row below in exactly its last column."""
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=max_cells))
+    rows, hi, cells = [], 0, 0
+    for length in lengths:
+        if cells + length > max_cells:
+            break
+        lo = max(hi - 1, 0)
+        hi = lo + length
+        rows.append((lo, hi))
+        cells += length
+    rows.reverse()
+    return SkewShape([h for _, h in rows], [l for l, _ in rows])
+
+
 @settings(max_examples=150, deadline=None)
 @given(random_skew_shapes(20, connected=True))
 def test_jacobi_trudi_matches_order_ideal_dp(shape):
@@ -76,10 +99,11 @@ def test_hook_sum_lattices_agree(shape):
     assert flag == Fraction(*excited._strip_hook_sum(shape))
 
 
-@settings(max_examples=150, deadline=None)
-@given(random_skew_shapes(40, connected=False))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_skew_shapes(40, connected=False), random_ribbons(80)))
 def test_xi_paths_match_flag_determinant(shape):
-    assert xi_path_count(shape) == xi_determinant(shape)
+    # ribbons with many rows are where xi_count takes the path count
+    assert xi_path_count(shape) == xi_determinant(shape) == xi_count(shape)
 
 
 @settings(max_examples=100, deadline=None)
