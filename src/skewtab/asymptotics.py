@@ -19,7 +19,15 @@ from typing import NamedTuple
 from .errors import CapExceeded
 from .exact import factorials, jacobi_trudi_count, naive_hlf
 from .excited import xi_count
-from .shapes import _FAMILY_SIZES, Partition, ShapeFamily, SkewShape, column_ribbon
+from .shapes import (
+    _FAMILY_SIZES,
+    _INT_KEYS,
+    Partition,
+    ShapeFamily,
+    SkewShape,
+    _family_params,
+    column_ribbon,
+)
 
 
 def log_fraction(q: Fraction) -> float:
@@ -476,9 +484,6 @@ class FamilyRow(NamedTuple):
     verdict: bool
 
 
-_SWEEP_KEY = {"slim-stripe": "ell"}
-
-
 def family_row(kind: str, k: int, **extra) -> FamilyRow:
     """Exact counts and log-scale summary for one family member.
 
@@ -504,7 +509,11 @@ def family_row(kind: str, k: int, **extra) -> FamilyRow:
 
 
 def _family_member(kind: str, k: int, extra: dict) -> ShapeFamily:
-    return ShapeFamily(kind, **{_SWEEP_KEY.get(kind, "k"): k}, **extra)
+    # a sweep sets the family's first parameter: k, or ell for slim-stripe
+    key = _family_params(kind)[1][0]
+    if key not in _INT_KEYS:
+        raise ValueError(f"family '{kind}' cannot be swept: its first parameter is '{key}'")
+    return ShapeFamily(kind, **{key: k}, **extra)
 
 
 def family_report(kind: str, ks, **extra) -> list[FamilyRow]:
@@ -513,7 +522,7 @@ def family_report(kind: str, ks, **extra) -> list[FamilyRow]:
     it has a cell.  A range is read twice, never copied into a list."""
     if iter(ks) is ks:  # a one-shot iterator can only be read once
         ks = list(ks)
-    key = _SWEEP_KEY.get(kind, "k")
+    key = _family_params(kind)[1][0]
     for k in ks:
         member = _family_member(kind, k, extra)
         if k < 1 or _FAMILY_SIZES[kind](**member.params) < 1:

@@ -223,12 +223,9 @@ def cmd_verify(args) -> int:
     max_size = shapes.parse_int(args.max_size, "--max-size")
     if max_size < 1:
         raise ShapeParseError("--max-size must be at least 1")
-    groups = tuple(g.strip() for g in args.groups.split(",") if g.strip())
-    if not groups:
-        raise ShapeParseError(f"--groups names no sweep: {shapes.quote_prefix(args.groups)}")
-    results = verify.run_suite(max_size=max_size, groups=groups)
+    # oracle_sweep checks the brute-force cap first, so it holds for both sweeps
     failed = False
-    for res in results:
+    for res in (verify.oracle_sweep(max_size), verify.bounds_sweep(max_size)):
         status = "ok" if res.ok else f"{len(res.failures)} failures"
         print(f"{res.name}: checked {res.checked} shapes, {status}")
         for item in res.failures[:20]:
@@ -287,8 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("shape")
 
     p = add("family", cmd_family, "CSV report over a parametric family")
-    # a sweep sets k (ell for slim-stripe), which regev-vershik does not take
-    p.add_argument("family", choices=sorted(set(shapes.FAMILY_BUILDERS) - {"regev-vershik"}))
+    # a sweep sets a family's first parameter, so it must be an integer
+    p.add_argument("family", choices=sorted(
+        kind for kind in shapes.FAMILY_BUILDERS
+        if shapes._family_params(kind)[1][0] in shapes._INT_KEYS
+    ))
     p.add_argument("--k", required=True, help="K, LO:HI or LO:HI:STEP")
     p.add_argument("--m", default=None, help="extra column-length parameter")
 
@@ -304,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", cmd_verify, "run the exhaustive small-shape sweeps")
     p.add_argument("--max-size", default="8")
-    p.add_argument("--groups", default="oracles,bounds")
 
     return parser
 

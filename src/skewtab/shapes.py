@@ -520,8 +520,6 @@ class ShapeFamily:
     __slots__ = ("kind", "params")
 
     def __init__(self, kind: str, **params):
-        if kind not in FAMILY_BUILDERS:
-            raise ShapeParseError(f"unknown family {quote_prefix(kind)}")
         required, accepted = _family_params(kind)
         for key in params:
             if key not in accepted:
@@ -588,7 +586,10 @@ def _param_text(value) -> str:
 
 
 def _family_params(kind: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The parameters a family needs and all that it takes."""
+    """The parameters a family needs and all that it takes, in the builder's
+    order; a `family` sweep sets the first."""
+    if kind not in FAMILY_BUILDERS:
+        raise ShapeParseError(f"unknown family {quote_prefix(kind)}")
     size = _FAMILY_SIZES[kind]
     accepted = size.__code__.co_varnames[: size.__code__.co_argcount]
     return accepted[: len(accepted) - len(size.__defaults__ or ())], accepted

@@ -18,7 +18,7 @@ from .excited import (
     xi_bounds,
     xi_path_count,
 )
-from .shapes import Partition, SkewShape, partitions_of, quote_prefix, shape_text, subpartitions
+from .shapes import Partition, SkewShape, partitions_of, shape_text, subpartitions
 
 
 def skew_shapes(max_size: int, connected_only: bool = True) -> Iterator[SkewShape]:
@@ -51,7 +51,11 @@ def oracle_sweep(max_size: int = 8, progress: Callable | None = None) -> SweepRe
     against the flag determinant.
 
     The brute-force cap is checked before the first shape."""
-    _check_brute_cap(max_size)
+    if max_size > DEFAULT_BRUTE_CAP:
+        raise CapExceeded(
+            f"brute-force count needs n <= {DEFAULT_BRUTE_CAP}; "
+            f"the oracle sweep reaches n = {max_size}"
+        )
     checked = 0
     failures = []
     for shape in skew_shapes(max_size):
@@ -78,14 +82,6 @@ def oracle_sweep(max_size: int = 8, progress: Callable | None = None) -> SweepRe
     return SweepResult("oracles", checked, failures)
 
 
-def _check_brute_cap(max_size: int) -> None:
-    if max_size > DEFAULT_BRUTE_CAP:
-        raise CapExceeded(
-            f"brute-force count needs n <= {DEFAULT_BRUTE_CAP}; "
-            f"the oracle sweep reaches n = {max_size}"
-        )
-
-
 def bounds_sweep(max_size: int = 8, progress: Callable | None = None) -> SweepResult:
     """Every bound verdict must hold on every shape."""
     checked = 0
@@ -96,25 +92,9 @@ def bounds_sweep(max_size: int = 8, progress: Callable | None = None) -> SweepRe
         bad = [name for name, ok in report.verdicts.items() if not ok]
         if bad:
             failures.append(f"{shape_text(shape)}: failed {','.join(bad)}")
-        lo, hi = xi_bounds(shape)
-        if not (report.xi <= lo and report.xi <= hi):
+        step_bound, durfee_bound = xi_bounds(shape)
+        if not (report.xi <= step_bound and report.xi <= durfee_bound):
             failures.append(f"{shape_text(shape)}: xi bound violated")
         if progress:
             progress(checked)
     return SweepResult("bounds", checked, failures)
-
-
-SWEEP_GROUPS = {
-    "oracles": oracle_sweep,
-    "bounds": bounds_sweep,
-}
-
-
-def run_suite(max_size: int = 8, groups=("oracles", "bounds")) -> list[SweepResult]:
-    """Run the named sweeps in order; names and caps are checked before any group runs."""
-    for name in groups:
-        if name not in SWEEP_GROUPS:
-            raise ValueError(f"unknown verify group {quote_prefix(name)}")
-    if "oracles" in groups:
-        _check_brute_cap(max_size)
-    return [SWEEP_GROUPS[name](max_size) for name in groups]

@@ -467,6 +467,9 @@ def test_family_rows():
         assert [r.k for r in family_report("thick-ribbon", ks)] == [2, 4, 6, 8]
     with pytest.raises(ValueError, match="^family 'staircase' member k=1 is empty$"):
         family_report("staircase", range(3, 0, -1))
+    # a sweep sets the first parameter, and regev-vershik's is a partition
+    with pytest.raises(ValueError, match="^family 'regev-vershik' cannot be swept: its first"):
+        family_row("regev-vershik", 1, rows=2, cols=2)
     assert all(r.verdict for r in rows)
     assert rows[2].log_xi == pytest.approx(log(proctor_xi(8)))
     row = family_row("square", 3)

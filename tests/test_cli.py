@@ -117,6 +117,10 @@ def test_usage_errors(capsys):
     assert "index 2" in err
     code, _, err = run_cli(capsys, "count", "2,1/3")
     assert code == 2
+    # verify always runs both sweeps; it takes no list of them
+    code, out, err = run_cli(capsys, "verify", "--groups", "oracles")
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert "unrecognized arguments: --groups oracles" in err
 
 
 def test_repeated_family_parameter_is_a_usage_error(capsys):
@@ -167,6 +171,16 @@ def test_family_size_is_capped_before_any_member_is_built(monkeypatch, capsys, a
         f" {CAPPED_MEMBER[argv[0]]}\n"
     )
     assert built == []  # not even the k = 2 member of the sweep
+
+
+def test_family_cap_quotes_a_partition_parameter(capsys):
+    # sigma is spelt as family text spells it, its parts quoted
+    assert run_cli(capsys, "count", "regev-vershik:sigma=2,1:rows=1000:cols=1001") == (
+        3,
+        "",
+        f"error: family 'regev-vershik' needs n <= {shapes.FAMILY_CELL_CAP} cells; "
+        "sigma='2,1', rows=1000, cols=1001 gives 1001003\n",
+    )
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -240,8 +254,8 @@ LONG = "x" * 100_000
 LONG_TEXT_ARGV = [
     (["count", LONG + ":k=1"], "unknown family"),
     (["count", "square:" + LONG + "=1"], "unknown family parameter"),
-    (["verify", "--groups", LONG], "verify group"),
-    (["verify", "--groups", "," * 100_000], "--groups"),
+    (["verify", "--groups", LONG], "unrecognized arguments"),
+    (["verify", "--groups", "," * 100_000], "unrecognized arguments"),
     (["integrate", "/missing/" + LONG], "boundary spec"),
     (["family", "thick-ribbon", "--k", "9" + "0" * 4000 + ":1"], "--k range"),
     (["verify", "--max-size", "-" + "9" * 4300], "--max-size"),
@@ -370,7 +384,7 @@ def test_family_range_stepping_away_from_hi_is_empty(capsys, spec):
 def test_every_family_choice_prints_a_row(capsys):
     _, usage, _ = run_cli(capsys, "family", "--help")
     choices = usage[usage.index("{") + 1 : usage.index("}")].split(",")
-    assert len(choices) == 8 and "regev-vershik" not in choices  # it takes no k
+    assert len(choices) == 8 and "regev-vershik" not in choices  # its first parameter is sigma
     for family in choices:
         extra = ["--m", "2"] if family == "ribbon-rho" else []
         code, out, err = run_cli(capsys, "family", family, "--k", "2", *extra)
@@ -602,8 +616,6 @@ def test_vacuous_runs_are_usage_errors(capsys):
     cases = [
         (["verify", "--max-size", "0"], "--max-size"),
         (["verify", "--max-size", "-1"], "--max-size"),
-        (["verify", "--max-size", "3", "--groups", ""], "--groups"),
-        (["verify", "--max-size", "3", "--groups", ",,"], "--groups"),
         (["family", "square", "--k", "3:1"], "empty"),
         (["family", "square", "--k", "2:6:-1"], "empty"),
     ]
@@ -634,11 +646,6 @@ def test_verify_ok(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-size", "4")
     assert code == 0
     assert "oracles" in out and "bounds" in out
-
-
-def test_verify_unknown_group(capsys):
-    code, _, err = run_cli(capsys, "verify", "--groups", "bogus")
-    assert code == 2
 
 
 def test_env_cap_override(monkeypatch, capsys):
@@ -673,10 +680,9 @@ def test_verify_brute_cap_before_sweeping(monkeypatch, capsys):
         raise AssertionError("swept shapes before checking the brute-force cap")
 
     monkeypatch.setattr(verify, "skew_shapes", no_sweep)
-    for groups in ("oracles,bounds", "bounds,oracles"):
-        code, out, err = run_cli(capsys, "verify", "--max-size", "25", "--groups", groups)
-        assert (code, out) == (3, "")
-        assert "brute-force count needs n <= 24" in err
+    code, out, err = run_cli(capsys, "verify", "--max-size", "25")
+    assert (code, out) == (3, "")
+    assert "brute-force count needs n <= 24" in err
 
 
 def test_oracle_sweep_calls_per_shape(monkeypatch):
@@ -744,10 +750,14 @@ def test_verify_failure_exit(monkeypatch, capsys):
     def failing(max_size=8, progress=None):
         return SweepResult("oracles", 1, ["injected: stub failure"])
 
-    monkeypatch.setitem(verify.SWEEP_GROUPS, "oracles", failing)
-    code, out, _ = run_cli(capsys, "verify", "--groups", "oracles")
+    monkeypatch.setattr(verify, "oracle_sweep", failing)
+    code, out, _ = run_cli(capsys, "verify", "--max-size", "1")
     assert code == 1
-    assert "injected" in out
+    assert out == (
+        "oracles: checked 1 shapes, 1 failures\n"
+        "  injected: stub failure\n"
+        "bounds: checked 1 shapes, ok\n"
+    )
 
 
 def test_numpy_never_loaded():
